@@ -326,8 +326,8 @@ def _bench_decode_backends(shots: int, seed: int) -> dict:
     rates = {}
     predictions = {}
     stats = {}
-    repeats = {"python": 2, "numpy": 3, "numba": 3}
-    for backend in ("python", "numpy", "numba"):
+    repeats = {"python": 2, "numpy": 3}
+    for backend in repeats:
         decoder = UnionFindDecoder(graph)
         state = {}
 
@@ -337,7 +337,7 @@ def _bench_decode_backends(shots: int, seed: int) -> dict:
             state["engine"] = engine
             return engine.decode_batch(det)
 
-        _run()  # warm the bound kernel (and any jit) before timing
+        _run()  # warm the bound kernel before timing
         rates[backend], predictions[backend] = _best_rate(
             _run, det.shape[0], repeats=repeats[backend]
         )
@@ -348,7 +348,6 @@ def _bench_decode_backends(shots: int, seed: int) -> dict:
     assert np.array_equal(predictions["python"], predictions["numpy"]), (
         "the numpy backend must be bit-identical to the python backend"
     )
-    assert np.array_equal(predictions["python"], predictions["numba"])
     assert stats["python"].decode_calls == stats["numpy"].decode_calls
 
     return {
@@ -357,9 +356,7 @@ def _bench_decode_backends(shots: int, seed: int) -> dict:
         "distinct_syndromes": stats["python"].distinct_syndromes,
         "python_shots_per_sec": rates["python"],
         "numpy_shots_per_sec": rates["numpy"],
-        "numba_shots_per_sec": rates["numba"],
         "numpy_speedup_vs_python": rates["numpy"] / rates["python"],
-        "numba_speedup_vs_python": rates["numba"] / rates["python"],
     }
 
 
@@ -369,7 +366,6 @@ def test_decode_backend_throughput(benchmark):
     print(
         f"\npython {row['python_shots_per_sec']:,.0f}/s   "
         f"numpy {row['numpy_shots_per_sec']:,.0f}/s   "
-        f"numba {row['numba_shots_per_sec']:,.0f}/s   "
         f"(numpy {row['numpy_speedup_vs_python']:.2f}x vs python, "
         f"{row['distinct_syndromes']} distinct rows)"
     )
@@ -382,10 +378,6 @@ def test_decode_backend_throughput(benchmark):
         # still fails if the whole-batch vectorized path stops engaging
         # (that reads ~1x); the recorded ratio is the tracked number.
         assert row["numpy_speedup_vs_python"] >= 2.0
-        # numba degrades to (at least) the numpy kernel, never below it
-        # (0.7: two same-kernel measurements on this class of machine can
-        # differ by ~15% each way run to run)
-        assert row["numba_speedup_vs_python"] >= 0.7 * row["numpy_speedup_vs_python"]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,7 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
                 )
                 return engine.decode_batch(det)
 
-            _run()  # warm the bound kernels (jit, BatchedMWPM Dijkstra rows)
+            _run()  # warm the bound kernels (BatchedMWPM Dijkstra rows)
             rates[backend], predictions[backend] = _best_rate(
                 _run, det.shape[0], repeats=repeats[backend]
             )

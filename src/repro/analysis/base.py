@@ -64,7 +64,7 @@ DEFAULT_CONFIG: dict = {
     # kernel-backend registry module for the registry-contract rule
     "backends_module": "src/repro/decoders/kernels/backends.py",
     # figure registry and the benchmark harness that must wrap every spec
-    "figures_module": "src/repro/figures/builders.py",
+    "figures_module": "src/repro/experiments/figures.py",
     "figures_benchmarks": "benchmarks",
     # worker-side entry points; functions reachable from these must not
     # rebind module globals (race surface across pool workers)

@@ -2,13 +2,11 @@
 
 Usage::
 
-    python -m repro.cli list
-    python -m repro.cli run fig10
-    python -m repro.cli run fig14 --shots 50000 --out results/
-    python -m repro.cli run all --shots 20000
-    python -m repro.cli run fig14 --decode-workers 8      # sharded decoding
-    python -m repro.cli run fig14 --no-dedup              # reference decode path
-    python -m repro.cli run fig14 --decode-backend numpy  # vectorized kernel
+    python -m repro.cli figures list
+    python -m repro.cli figures build fig10 --no-store
+    python -m repro.cli figures build fig14_ibm --store results/store
+    python -m repro.cli figures build --all --format json --format csv --format vega
+    python -m repro.cli figures build fig19 --shots 50000 --param "taus_ns=[500.0]"
 
     python -m repro.cli lint                              # determinism/contract lint
     python -m repro.cli lint --only salt-drift --format json
@@ -30,93 +28,24 @@ Usage::
     python -m repro.cli bench record benchmarks/results/decode_throughput.json
     python -m repro.cli bench compare --strict
 
-    python -m repro.cli figures list
-    python -m repro.cli figures build fig14_ibm --store results/store
-    python -m repro.cli figures build --all --format json --format csv --format vega
-    python -m repro.cli figures build fig19 --shots 50000 --param "taus_ns=[500.0]"
-
-Each driver prints its rows and (with ``--out``) writes JSON next to the
-benchmark harness's output format.  The ``sweep`` subcommands drive the
+``figures`` is the figure front end (docs/FIGURES.md): every paper
+figure/table is a registered ``FigureSpec`` built through the active result
+store — decode on miss, zero decoding on a warm store — and written as
+JSON / CSV / Vega-Lite artifacts.  The ``sweep`` subcommands drive the
 resumable orchestrator over a content-addressed result store (see
 ``docs/SWEEPS.md`` for the spec format and store layout); ``runs`` and
 ``sweep watch`` read the run ledger it records under ``runs/``; ``bench``
-maintains the perf-trajectory history (docs/OBSERVABILITY.md, docs/CI.md);
-``figures`` is the declarative registry front end (docs/FIGURES.md): every
-paper figure/table is a registered ``FigureSpec`` built through the active
-result store — decode on miss, zero decoding on a warm store.
+maintains the perf-trajectory history (docs/OBSERVABILITY.md, docs/CI.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
 from pathlib import Path
-
-from .experiments import figures
-
-#: name -> (callable, accepts_shots, accepts_rng)
-DRIVERS = {}
-for _name in figures.__all__:
-    fn = getattr(figures, _name)
-    params = inspect.signature(fn).parameters
-    key = _name.split("_")[0]  # fig10_extra_rounds_configs -> fig10
-    DRIVERS[key] = (fn, "shots" in params, "rng" in params)
-# fig1d is derived from other measurements; exclude it from direct runs
-DRIVERS.pop("fig1d", None)
-
-
-def list_drivers() -> None:
-    print("available figure/table drivers:")
-    for key in sorted(DRIVERS):
-        fn, takes_shots, _ = DRIVERS[key]
-        extra = " (accepts --shots)" if takes_shots else ""
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
-        print(f"  {key:8s} {doc}{extra}")
-
-
-def run_driver(key: str, shots: int | None, seed: int, out: Path | None) -> None:
-    fn, takes_shots, takes_rng = DRIVERS[key]
-    kwargs = {}
-    if takes_shots and shots is not None:
-        kwargs["shots"] = shots
-    if takes_rng:
-        kwargs["rng"] = seed
-    print(f"== {key}: {fn.__name__} ==")
-    data = _stringify_keys(fn(**kwargs))
-    print(json.dumps(data, indent=2, default=_jsonable))
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{key}.json"
-        with open(path, "w") as f:
-            json.dump(data, f, indent=2, default=_jsonable)
-        print(f"wrote {path}")
-
-
-def _stringify_keys(obj):
-    """JSON keys must be strings; figure drivers sometimes key by tuples."""
-    if isinstance(obj, dict):
-        return {str(k): _stringify_keys(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify_keys(v) for v in obj]
-    return obj
-
-
-def _jsonable(obj):
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): v for k, v in obj.items()}
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
-    return str(obj)
 
 
 def _version() -> str:
@@ -761,7 +690,7 @@ def _sweep_export(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     store = _resolve_store(args.store)
     rows = export_records(spec, store)
-    payload = json.dumps(rows, indent=2, default=_jsonable)
+    payload = json.dumps(rows, indent=2)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(payload + "\n")
@@ -808,7 +737,6 @@ def main(argv=None) -> int:
         "--version", action="version", version=f"%(prog)s {_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available drivers")
 
     lintp = sub.add_parser(
         "lint",
@@ -905,7 +833,7 @@ def main(argv=None) -> int:
         "--decode-backend",
         default=None,
         metavar="NAME",
-        help="decode-kernel backend for this sweep (python/numpy/numba/auto);"
+        help="decode-kernel backend for this sweep (python/numpy/auto);"
         " bit-identical across backends, so stored records are unaffected",
     )
     sweep_run.add_argument(
@@ -1177,43 +1105,7 @@ def main(argv=None) -> int:
         "--speculate", type=int, default=0, help="speculative batch depth for pre-warm"
     )
 
-    runp = sub.add_parser("run", help="run one driver (or 'all')")
-    runp.add_argument("figure", help="driver key from 'list', or 'all'")
-    runp.add_argument("--shots", type=int, default=None)
-    runp.add_argument("--seed", type=int, default=2025)
-    runp.add_argument("--out", type=Path, default=None)
-    runp.add_argument(
-        "--decode-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "shard each configuration's shots across N processes; sharded "
-            "results are independent of N (>= 2) but use different seed "
-            "streams than the serial N=1 path"
-        ),
-    )
-    runp.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="disable syndrome deduplication (reference per-shot decoding)",
-    )
-    runp.add_argument(
-        "--decode-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "decode-kernel backend: python (scalar reference), numpy "
-            "(vectorized whole-batch), numba (jitted, degrades to numpy), "
-            "or auto (default: fastest available); all backends produce "
-            "bit-identical results"
-        ),
-    )
     args = parser.parse_args(argv)
-
-    if args.command == "list":
-        list_drivers()
-        return 0
 
     if args.command == "lint":
         return _lint(args)
@@ -1249,43 +1141,7 @@ def main(argv=None) -> int:
     if args.command == "trace":
         return _trace_summarize(args)
 
-    if args.command == "figures":
-        return _figures(args)
-
-    # route the decode-engine knobs to every driver via the process defaults,
-    # restoring them afterwards so repeated in-process invocations don't
-    # inherit a previous run's flags
-    from .experiments import ler as _ler
-
-    saved = dict(_ler.DECODE_DEFAULTS)
-    if args.decode_workers is not None:
-        if args.decode_workers < 1:
-            parser.error("--decode-workers must be >= 1")
-        _ler.DECODE_DEFAULTS["workers"] = args.decode_workers
-    if args.no_dedup:
-        _ler.DECODE_DEFAULTS["dedup"] = False
-    if args.decode_backend is not None:
-        if args.decode_backend != "auto":
-            from .decoders import kernels
-
-            try:
-                kernels.get(args.decode_backend)
-            except KeyError as exc:
-                parser.error(str(exc))
-        _ler.DECODE_DEFAULTS["backend"] = args.decode_backend
-    try:
-        if args.figure == "all":
-            for key in sorted(DRIVERS):
-                run_driver(key, args.shots, args.seed, args.out)
-            return 0
-        if args.figure not in DRIVERS:
-            print(f"unknown figure {args.figure!r}; try 'list'", file=sys.stderr)
-            return 2
-        run_driver(args.figure, args.shots, args.seed, args.out)
-        return 0
-    finally:
-        _ler.DECODE_DEFAULTS.clear()
-        _ler.DECODE_DEFAULTS.update(saved)
+    return _figures(args)
 
 
 if __name__ == "__main__":

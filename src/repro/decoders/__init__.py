@@ -16,10 +16,10 @@ Layers on top of the base class:
   across batches, plus throughput statistics; used by the streaming LER
   pipeline (:mod:`repro.experiments.ler`).
 * :mod:`~repro.decoders.kernels` — pluggable decode-kernel backends for the
-  distinct-syndrome matrix: ``python`` (scalar reference), ``numpy``
-  (vectorized whole-batch union-find), ``numba`` (jitted, soft import).
-  Backends are bit-identical; select via ``REPRO_DECODE_BACKEND``, the CLI
-  ``--decode-backend`` flag, or the ``backend=`` arguments (docs/DECODERS.md).
+  distinct-syndrome matrix: ``python`` (scalar reference) and ``numpy``
+  (vectorized whole-batch kernels).  Backends are bit-identical; select via
+  ``REPRO_DECODE_BACKEND``, ``repro sweep run --decode-backend``, or the
+  ``backend=`` arguments (docs/DECODERS.md).
 * Concrete decoders: :class:`UnionFindDecoder` (workhorse),
   :class:`MWPMDecoder` (accuracy reference), :class:`LookupTableDecoder`
   (exact within budget), :class:`PredecodedDecoder` (local pass in front of a

@@ -15,7 +15,6 @@ python    the scalar per-syndrome pass, always available (the fallback)
 numpy     vectorized whole-batch kernels (:mod:`.batched_unionfind` for
           stock union-find; :mod:`.batched_wrappers` for the predecoded,
           hierarchical and MWPM paths)
-numba     numpy kernels with jitted primitives; degrades to ``numpy``
 ========  ==============================================================
 
 Backends advertise *capability flags* (``KernelBackend.capabilities``: the
@@ -26,21 +25,19 @@ which fast paths were live.
 
 Selection precedence, resolved by :func:`resolve`:
 
-1. an explicit backend name (CLI ``--decode-backend``, or the ``backend=``
-   argument threaded through ``decode_batch`` / ``run_surgery_ler`` /
-   ``SweepSpec``; the experiments layer defaults it from
-   ``repro.experiments.ler.DECODE_DEFAULTS``),
+1. an explicit backend name (``repro sweep run --decode-backend``, or the
+   ``backend=`` argument threaded through ``decode_batch`` /
+   ``run_surgery_ler`` / ``SweepSpec``; the experiments layer defaults it
+   from ``repro.experiments.ler.DECODE_DEFAULTS``),
 2. the ``REPRO_DECODE_BACKEND`` environment variable,
-3. ``auto`` — the fastest available backend (``numba`` > ``numpy`` >
-   ``python``).
+3. ``auto`` — the fastest available backend (``numpy`` > ``python``).
 
-An unavailable backend degrades along its ``fallback`` chain (``numba`` ->
-``numpy`` -> ``python``), so naming a backend whose soft dependency is
-missing still decodes correctly; the degradation is announced by a single
-``RuntimeWarning`` per process naming the backend that actually resolved
-(so CI logs show which kernel ran the parity matrix).  Third-party backends (a C extension, a
-GPU kernel, ...) plug in through :func:`register` without touching the
-engine.  Full catalogue and knobs: ``docs/DECODERS.md``.
+An unavailable backend degrades along its ``fallback`` chain (``numpy`` ->
+``python``), so naming a backend whose dependency is missing still decodes
+correctly; the degradation is announced by a single ``RuntimeWarning`` per
+process naming the backend that actually resolved (so CI logs show which
+kernel ran the parity matrix).  Third-party backends (a C extension, a GPU
+kernel, ...) plug in through :func:`register` without touching the engine.  Full catalogue and knobs: ``docs/DECODERS.md``.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from __future__ import annotations
 import os
 import warnings
 
-from .backends import NumbaBackend, NumpyBackend, PythonBackend
+from .backends import NumpyBackend, PythonBackend
 from .base import KernelBackend
 from .batched_unionfind import BatchedUnionFind
 from .batched_wrappers import BatchedHierarchical, BatchedMWPM, BatchedPredecode
@@ -57,7 +54,6 @@ __all__ = [
     "KernelBackend",
     "PythonBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "BatchedUnionFind",
     "BatchedPredecode",
     "BatchedHierarchical",
@@ -73,7 +69,7 @@ __all__ = [
 ]
 
 #: preference order of the ``auto`` backend (first available wins)
-AUTO_ORDER = ("numba", "numpy", "python")
+AUTO_ORDER = ("numpy", "python")
 
 _REGISTRY: dict[str, KernelBackend] = {}
 
@@ -170,4 +166,3 @@ def capabilities(name: str | None = None) -> frozenset:
 
 register(PythonBackend())
 register(NumpyBackend())
-register(NumbaBackend())

@@ -1,4 +1,4 @@
-"""The built-in decode-kernel backends: ``python``, ``numpy``, ``numba``.
+"""The built-in decode-kernel backends: ``python`` and ``numpy``.
 
 * ``python`` — the always-available fallback.  It binds nothing, which
   makes the dedup engine run today's scalar per-syndrome pass unchanged.
@@ -22,11 +22,6 @@
 
   Decoders it has no kernel for — and any subclass that overrides a
   decode-path method — fall back to their scalar pass.
-* ``numba`` — the numpy kernels with the union-find pointer chase jitted.
-  Soft dependency: when numba is not importable the backend reports
-  unavailable and selection degrades to ``numpy`` — results are identical
-  either way, and the registry warns once per process naming the backend
-  that actually resolved.
 
 Kernels are cached *on the decoder instance* (one slot per backend name),
 so binding is cheap after the first call and a cached kernel never outlives
@@ -39,7 +34,7 @@ from .base import KernelBackend
 from .batched_unionfind import BatchedUnionFind
 from .batched_wrappers import BatchedHierarchical, BatchedMWPM, BatchedPredecode
 
-__all__ = ["PythonBackend", "NumpyBackend", "NumbaBackend"]
+__all__ = ["PythonBackend", "NumpyBackend"]
 
 
 def _is_stock(decoder, base, attrs: tuple[str, ...]) -> bool:
@@ -70,7 +65,6 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
     fallback = "python"
-    jit = False
     capabilities = frozenset({"unionfind", "predecoded", "hierarchical", "mwpm"})
 
     def available(self) -> bool:
@@ -108,7 +102,7 @@ class NumpyBackend(KernelBackend):
             UnionFindDecoder,
             ("decode", "_decode_one_defects", "_decode_defects", "_peel"),
         ):
-            return BatchedUnionFind(decoder, jit=self.jit)
+            return BatchedUnionFind(decoder)
         if _is_stock(
             decoder, PredecodedDecoder, ("decode", "_decode_one", "_decode_rows")
         ):
@@ -125,19 +119,3 @@ class NumpyBackend(KernelBackend):
         ):
             return BatchedMWPM(decoder)
         return None
-
-
-class NumbaBackend(NumpyBackend):
-    """Numba-jitted variant of the numpy kernels (soft import)."""
-
-    name = "numba"
-    fallback = "numpy"
-    jit = True
-
-    def available(self) -> bool:
-        """True when numba imports; otherwise selection degrades to numpy."""
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True

@@ -1,15 +1,21 @@
-"""Data generation for every table and figure in the paper's evaluation.
+"""Every table and figure of the paper's evaluation: one ``FigureSpec`` each.
 
-Each ``fig_*`` / ``table_*`` function regenerates the data behind one plot or
-table, at shot counts / distances scaled for a workstation (the paper used
-128 cores for 5 days; see EXPERIMENTS.md for the mapping).  The benchmark
-harness in ``benchmarks/`` calls these functions and prints the same
-rows/series the paper reports.
+Each figure is one builder ``(params, store) -> rows`` registered right
+below it (docs/FIGURES.md).  The spec's ``params`` dict is the only place
+defaults live, at shot counts / distances scaled for a workstation (the
+paper used 128 cores for 5 days).  The LER-sweep specs declare their grid
+once, as ``SweepSpec``s (``sweeps=``): :func:`repro.figures.build_figure`
+pre-warms a result store from them, and the builder reads the same points
+back through :func:`ler_points`.
+
+Names passed to ``FigureSpec(name=...)`` must stay string literals — the
+``contract-figure-registry`` lint rule reads them statically to enforce the
+registry <-> benchmarks pairing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +31,8 @@ from ..decoders.graph import build_matching_graph
 from ..decoders.hierarchical import measure_decoder_latencies
 from ..decoders.mwpm import MWPMDecoder
 from ..decoders.unionfind import UnionFindDecoder
-from ..noise.dd import BRISBANE_DD, DDModel
+from ..figures.registry import FigureSpec, register
+from ..noise.dd import BRISBANE_DD
 from ..noise.hardware import GOOGLE, IBM, QUERA, HardwareConfig
 from ..noise.models import NoiseModel
 from ..stab.dem import circuit_to_dem
@@ -37,9 +44,11 @@ from ..workloads.sync_estimate import (
     syncs_per_cycle_table,
 )
 from .ler import DECODE_DEFAULTS, SurgeryLerConfig, prepared_pipeline, run_surgery_ler
-from .stats import RateEstimate
+from .sweeps import PolicySpec, SweepSpec, ensure_point, point_record_estimates
 
 __all__ = [
+    "ler_points",
+    "tcount_headroom",
     "fig1c_repetition_idle",
     "fig1d_tcount_headroom",
     "fig3c_syncs_per_cycle",
@@ -63,23 +72,6 @@ __all__ = [
     "table4_mean_reductions",
     "table5_neutral_atom_rounds",
 ]
-
-def _sweep_rng(rng):
-    """Resolve ``rng`` unless store read-through should see the raw seed.
-
-    :func:`sweep_policies` only uses the result store when it receives an
-    *integer* seed (content-addressed keys cannot be derived from Generator
-    state), so figure drivers that loop over several ``sweep_policies``
-    calls must not eagerly resolve an int seed into a Generator while a
-    store is active.  Without an active store this is exactly
-    :func:`repro._util.resolve_rng`.
-    """
-    from ..store import default_store
-
-    if isinstance(rng, int) and not isinstance(rng, bool) and default_store() is not None:
-        return rng
-    return resolve_rng(rng)
-
 
 #: Sherbrooke qubits used in the paper's footnote 1 (T1=330.77us, T2=72.68us)
 SHERBROOKE = HardwareConfig(
@@ -119,54 +111,140 @@ TABLE1_HARDWARE = HardwareConfig(
     time_reset_ns=20.0,
 )
 
+#: Logical cycle counts per workload reported in the paper (Fig. 3c),
+#: recorded alongside our own estimates for side-by-side comparison.
+PAPER_CYCLES = {
+    "multiplier-75": 3255,
+    "wstate-118": 2224,
+    "shor-15": 118693,
+    "qpe-80": 16225,
+    "qft-80": 13246,
+    "ising-98": 582,
+}
+
 
 # ---------------------------------------------------------------------------
-# Fig. 1(c): repetition-code LER vs idling period
+# LER sweeps: one declared grid, read through the store or decoded in order
 # ---------------------------------------------------------------------------
 
 
-def fig1c_repetition_idle(
-    idle_periods_ns=(0, 100, 200, 300, 400, 500, 600, 700, 800),
-    shots: int = 20_000,
-    *,
-    num_data: int = 3,
-    rounds: int = 2,
-    hardware: HardwareConfig = SHERBROOKE_IDLE,
-    p: float = 2e-2,
-    rng=None,
-) -> dict[float, dict[str, float]]:
-    """LER of the repetition code vs idle period before the final round.
+def _pol(name: str, **kwargs) -> PolicySpec:
+    return PolicySpec(name, tuple(sorted(kwargs.items())))
 
-    Returns ``{idle_ns: {"zero": ler, "one": ler}}`` for the two logical
-    preparations (statistically identical under Pauli-frame noise, sampled
-    with independent seeds as on hardware).
+
+def _ler_sweep(name, params, *, distances, taus_ns, policies, hardware,
+               t_pp_ns=None, base_rounds=None) -> SweepSpec:
+    """One fixed-shot SweepSpec: one batch of ``params["shots"]`` per point.
+
+    ``batch_shots = min_shots = max_shots = shots`` are the ``ensure_point``
+    defaults, so a ``run_sweep`` pre-warm populates exactly the records
+    :func:`ler_points` reads.
     """
-    rng = resolve_rng(rng)
-    noise = NoiseModel(hardware=hardware, p=p)
-    out: dict[float, dict[str, float]] = {}
-    for idle in idle_periods_ns:
-        art = repetition_experiment(
-            num_data, rounds, noise, idle_before_last_round_ns=float(idle)
-        )
-        dem = circuit_to_dem(art.circuit)
-        graph = build_matching_graph(dem, basis="Z")
-        decoder = UnionFindDecoder(graph)
-        sampler = DemSampler(dem)
-        rates = {}
-        for label in ("zero", "one"):
-            det, obs = sampler.sample(shots, rng)
-            pred = decoder.decode_batch(det, dedup=DECODE_DEFAULTS["dedup"])
-            rates[label] = float((pred[:, :1] ^ obs).mean())
-        out[float(idle)] = rates
+    shots = int(params["shots"])
+    return SweepSpec(
+        name=name,
+        distances=tuple(int(d) for d in distances),
+        taus_ns=tuple(float(t) for t in taus_ns),
+        policies=tuple(policies),
+        hardware=hardware,
+        t_pp_ns=t_pp_ns,
+        base_rounds=base_rounds,
+        seed=int(params["seed"]),
+        batch_shots=shots,
+        min_shots=shots,
+        max_shots=shots,
+    )
+
+
+def ler_points(sweeps, store) -> list:
+    """``(point, estimates, plan)`` of every applicable point, in sweep order.
+
+    With a ``store`` each point reads through :func:`ensure_point` (decoded
+    once, then served forever under its content-addressed key).  Without
+    one every point decodes on a single ``Generator`` seeded from the sweep
+    seed and shared across all ``sweeps`` — the sequential stream the
+    benchmark numbers come from.  Store-backed points draw from per-point
+    streams instead, so the two modes give statistically equivalent, not
+    identical, numbers.  Points whose policy does not apply are skipped.
+    """
+    out = []
+    rng = None
+    for sweep in sweeps:
+        if store is None and rng is None:
+            rng = resolve_rng(sweep.seed)
+        for pt in sweep.points():
+            if store is not None:
+                record = ensure_point(
+                    store, pt.config, pt.policy_name, pt.policy_kwargs,
+                    decoder=pt.decoder, seed=sweep.seed, batch_shots=sweep.batch_shots,
+                )
+                if record.get("status") == "not_applicable":
+                    continue
+                out.append((pt, point_record_estimates(record),
+                            dict(record.get("plan_summary", {}))))
+                continue
+            policy = make_policy(pt.policy_name, **dict(pt.policy_kwargs))
+            try:
+                res = run_surgery_ler(pt.config, policy, sweep.batch_shots, rng,
+                                      decoder=pt.decoder)
+            except PolicyNotApplicableError:
+                continue
+            out.append((pt, res.estimates, res.plan_summary))
     return out
 
 
+def _reduction(num: float, den: float) -> float:
+    return num / den if den else float("inf")
+
+
 # ---------------------------------------------------------------------------
-# Fig. 1(d): normalized T-count headroom
+# Fig. 1: motivation (repetition-code idling, T-count headroom)
 # ---------------------------------------------------------------------------
 
 
-def fig1d_tcount_headroom(ler_passive: float, ler_active: float) -> float:
+def fig1c_repetition_idle(params, store):
+    """LER of the repetition code vs idle period before the final round.
+
+    The two logical preparations are statistically identical under
+    Pauli-frame noise; they are sampled with independent draws, as on
+    hardware.
+    """
+    rng = resolve_rng(int(params["seed"]))
+    shots = int(params["shots"])
+    noise = NoiseModel(hardware=SHERBROOKE_IDLE, p=2e-2)
+    rows = {}
+    for idle in params["idle_periods_ns"]:
+        art = repetition_experiment(3, 2, noise, idle_before_last_round_ns=float(idle))
+        dem = circuit_to_dem(art.circuit)
+        decoder = UnionFindDecoder(build_matching_graph(dem, basis="Z"))
+        sampler = DemSampler(dem)
+        rates = {}
+        for label in ("zero", "one"):
+            det, obs_flips = sampler.sample(shots, rng)
+            pred = decoder.decode_batch(det, dedup=DECODE_DEFAULTS["dedup"])
+            rates[label] = float((pred[:, :1] ^ obs_flips).mean())
+        rows[float(idle)] = {"idle_ns": float(idle), "ler_zero": rates["zero"],
+                             "ler_one": rates["one"]}
+    return [row for _, row in sorted(rows.items())]
+
+
+register(FigureSpec(
+    name="fig1c",
+    category="sampled",
+    anchor="Fig. 1c",
+    title="Repetition-code LER vs idle period before the final round",
+    builder=fig1c_repetition_idle,
+    params={
+        "idle_periods_ns": (0, 100, 200, 300, 400, 500, 600, 700, 800),
+        "shots": 20_000,
+        "seed": 2025,
+    },
+    columns=("idle_ns", "ler_zero", "ler_one"),
+    vega={"mark": "line", "x": "idle_ns", "y": "ler_zero"},
+))
+
+
+def tcount_headroom(ler_passive: float, ler_active: float) -> float:
     """Normalized T count enabled by the Active policy (Fig. 1d).
 
     Under the linear program-error model, a policy with per-operation LER
@@ -178,35 +256,126 @@ def fig1d_tcount_headroom(ler_passive: float, ler_active: float) -> float:
     return ler_passive / ler_active
 
 
+def fig1d_tcount_headroom(params, store):
+    """Passive and Active LER at one slack, and the T-count headroom ratio."""
+    lers = {}
+    for name in ("passive", "active"):
+        config = SurgeryLerConfig(
+            distance=int(params["distance"]),
+            hardware=IBM,
+            policy_name=name,
+            tau_ns=float(params["tau_ns"]),
+        )
+        res = run_surgery_ler(config, make_policy(name), int(params["shots"]),
+                              int(params["seed"]))
+        lers[name] = res.estimates[1].rate
+    return [{
+        "ler_passive": lers["passive"],
+        "ler_active": lers["active"],
+        "norm_t_count": tcount_headroom(lers["passive"], lers["active"]),
+    }]
+
+
+register(FigureSpec(
+    name="fig1d",
+    category="sampled",
+    anchor="Fig. 1d",
+    title="Normalized T count enabled by the Active policy",
+    builder=fig1d_tcount_headroom,
+    params={"distance": 5, "tau_ns": 1000.0, "shots": 12_000, "seed": 2025},
+    columns=("ler_passive", "ler_active", "norm_t_count"),
+    vega={"mark": "bar", "x": "norm_t_count", "y": "ler_active"},
+))
+
+
 # ---------------------------------------------------------------------------
-# Fig. 3(c) / Fig. 20 inset: workload-level estimates
+# Fig. 3c: synchronizations per logical cycle
 # ---------------------------------------------------------------------------
 
 
-def fig3c_syncs_per_cycle(code_distance: int = 15):
+def fig3c_syncs_per_cycle(params, store):
     """Minimum synchronizations per logical cycle for the six workloads."""
-    return syncs_per_cycle_table(code_distance=code_distance)
+    return [
+        {
+            "workload": est.name,
+            "t_count": est.resources.t_count,
+            "total_cycles": est.total_cycles,
+            "syncs_per_cycle": est.syncs_per_cycle,
+            "paper_cycles": PAPER_CYCLES.get(est.name),
+        }
+        for est in syncs_per_cycle_table(code_distance=int(params["code_distance"]))
+    ]
+
+
+register(FigureSpec(
+    name="fig3c",
+    category="analytic",
+    anchor="Fig. 3c",
+    title="Minimum synchronizations per logical cycle for the six workloads",
+    builder=fig3c_syncs_per_cycle,
+    params={"code_distance": 15},
+    columns=("workload", "t_count", "total_cycles", "syncs_per_cycle", "paper_cycles"),
+    vega={"mark": "bar", "x": "workload", "y": "syncs_per_cycle"},
+))
 
 
 # ---------------------------------------------------------------------------
-# Fig. 4: case studies
+# Fig. 4: case studies (cultivation slack, qLDPC slack)
 # ---------------------------------------------------------------------------
 
 
-def fig4a_cultivation_slack(shots: int = 100_000, rng=None):
+def fig4a_cultivation_slack(params, store):
     """Cultivation slack distributions for IBM/Google at p=5e-4 and 1e-3."""
-    rng = resolve_rng(rng)
-    out = {}
+    rng = resolve_rng(int(params["seed"]))
+    dists = {}
     for hw in (IBM, GOOGLE):
         for p in (5e-4, 1e-3):
-            dist = cultivation_slack_distribution(hw, p, shots, rng=rng)
-            out[(hw.name, p)] = dist
-    return out
+            dists[(hw.name, p)] = cultivation_slack_distribution(
+                hw, p, int(params["shots"]), rng=rng
+            )
+    return [
+        {
+            "hardware": hw,
+            "p": p,
+            "median_ns": dist.median_ns,
+            "mean_ns": dist.mean_ns,
+            "p95_ns": dist.percentile(95),
+        }
+        for (hw, p), dist in sorted(dists.items())
+    ]
 
 
-def fig4b_qldpc_slack(rounds: int = 100):
+register(FigureSpec(
+    name="fig4a",
+    category="sampled",
+    anchor="Fig. 4a",
+    title="Cultivation slack distributions for IBM/Google at p=5e-4 and 1e-3",
+    builder=fig4a_cultivation_slack,
+    params={"shots": 100_000, "seed": 2025},
+    columns=("hardware", "p", "median_ns", "mean_ns", "p95_ns"),
+    vega={"mark": "bar", "x": "hardware", "y": "mean_ns", "color": "p"},
+))
+
+
+def fig4b_qldpc_slack(params, store):
     """Slack vs QEC rounds when qLDPC memories run beside surface patches."""
-    return {hw.name: qldpc_surface_slack(rounds, hw) for hw in (IBM, GOOGLE)}
+    return [
+        {"hardware": hw.name, "round": i, "slack_ns": float(s)}
+        for hw in (GOOGLE, IBM)
+        for i, s in enumerate(qldpc_surface_slack(int(params["rounds"]), hw))
+    ]
+
+
+register(FigureSpec(
+    name="fig4b",
+    category="analytic",
+    anchor="Fig. 4b",
+    title="Slack vs QEC rounds when qLDPC memories run beside surface patches",
+    builder=fig4b_qldpc_slack,
+    params={"rounds": 100},
+    columns=("hardware", "round", "slack_ns"),
+    vega={"mark": "line", "x": "round", "y": "slack_ns", "color": "hardware"},
+))
 
 
 # ---------------------------------------------------------------------------
@@ -214,88 +383,101 @@ def fig4b_qldpc_slack(rounds: int = 100):
 # ---------------------------------------------------------------------------
 
 
-def fig6_dd_fidelity(
-    idle_periods_us=(0.8, 1.6, 2.4, 3.2, 4.0, 5.6),
-    n_values=(20, 200),
-    model: DDModel = BRISBANE_DD,
-):
-    """Mean fidelity after a total idle tp: one window vs N windows."""
-    out = {}
-    for n in n_values:
-        rows = []
-        for tp_us in idle_periods_us:
-            tp_ns = tp_us * 1000.0
-            rows.append(
-                {
-                    "tp_us": tp_us,
-                    "passive": model.sequence_fidelity(tp_ns, 1),
-                    "active": model.sequence_fidelity(tp_ns, n),
-                }
-            )
-        out[n] = rows
-    return out
+def fig6_dd_fidelity(params, store):
+    """Mean DD fidelity after a total idle tp: one window vs N windows."""
+    return [
+        {
+            "windows": int(n),
+            "tp_us": tp_us,
+            "passive": BRISBANE_DD.sequence_fidelity(tp_us * 1000.0, 1),
+            "active": BRISBANE_DD.sequence_fidelity(tp_us * 1000.0, n),
+        }
+        for n in sorted(params["n_values"])
+        for tp_us in params["idle_periods_us"]
+    ]
+
+
+register(FigureSpec(
+    name="fig6",
+    category="analytic",
+    anchor="Fig. 6",
+    title="Mean DD fidelity after a total idle tp: one window vs N windows",
+    builder=fig6_dd_fidelity,
+    params={
+        "idle_periods_us": (0.8, 1.6, 2.4, 3.2, 4.0, 5.6),
+        "n_values": (20, 200),
+    },
+    columns=("windows", "tp_us", "passive", "active"),
+    vega={"mark": "line", "x": "tp_us", "y": "passive", "color": "windows"},
+))
 
 
 # ---------------------------------------------------------------------------
-# Fig. 7: syndrome Hamming weight analysis
+# Fig. 7: Hamming-weight concentration at the merge round
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HammingWeightData:
-    """Fig. 7 data for one policy."""
-
-    policy: str
-    #: mean detector Hamming weight per round label
-    weight_per_round: dict[int, float]
-    #: (weight_bin, shots, failures) rows for the LER-vs-weight scatter
-    ler_by_weight: list[tuple[int, int, int]]
-    merge_round_label: int
-
-
-def fig7_hamming_weight(
-    distance: int = 5,
-    tau_ns: float = 1000.0,
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig = GOOGLE,
-    rng=None,
-) -> dict[str, HammingWeightData]:
+def fig7_hamming_weight(params, store):
     """Per-round syndrome weights and LER-vs-weight under both policies."""
-    rng = resolve_rng(rng)
-    out = {}
+    rng = resolve_rng(int(params["seed"]))
+    by_policy = {}
     for policy_name in ("passive", "active"):
         config = SurgeryLerConfig(
-            distance=distance, hardware=hardware, policy_name=policy_name, tau_ns=tau_ns
+            distance=int(params["distance"]),
+            hardware=GOOGLE,
+            policy_name=policy_name,
+            tau_ns=float(params["tau_ns"]),
         )
         pipe = prepared_pipeline(config, make_policy(policy_name))
-        det, obs = pipe.sampler.sample(shots, rng)
+        det, obs_flips = pipe.sampler.sample(int(params["shots"]), rng)
         pred = pipe.decoder("unionfind").decode_batch(
             pipe.mask_detectors(det), dedup=DECODE_DEFAULTS["dedup"]
         )
-        failures = (pred[:, 1] ^ obs[:, 1]).astype(int)  # joint observable
+        failures = (pred[:, 1] ^ obs_flips[:, 1]).astype(int)  # joint observable
+        merge_round = int(pipe.plan.timeline_p.num_rounds)
+        rows = [
+            {
+                "policy": policy_name,
+                "kind": "weight_per_round",
+                "round": int(label),
+                "mean_weight": float(det[:, indices].sum(axis=1).mean()),
+                "merge_round": merge_round,
+            }
+            for label, indices in sorted(pipe.artifacts.detectors_by_round.items())
+        ]
         weights = det.sum(axis=1)
-        rows = []
         for w in np.unique(weights):
             mask = weights == w
-            rows.append((int(w), int(mask.sum()), int(failures[mask].sum())))
-        per_round = {}
-        for label, indices in sorted(pipe.artifacts.detectors_by_round.items()):
-            per_round[label] = float(det[:, indices].sum(axis=1).mean())
-        merge_label = pipe.plan.timeline_p.num_rounds
-        out[policy_name] = HammingWeightData(
-            policy=policy_name,
-            weight_per_round=per_round,
-            ler_by_weight=rows,
-            merge_round_label=merge_label,
-        )
-    return out
+            rows.append({
+                "policy": policy_name,
+                "kind": "ler_by_weight",
+                "weight": int(w),
+                "shots": int(mask.sum()),
+                "failures": int(failures[mask].sum()),
+                "merge_round": merge_round,
+            })
+        by_policy[policy_name] = rows
+    return [row for _, rows in sorted(by_policy.items()) for row in rows]
+
+
+register(FigureSpec(
+    name="fig7",
+    category="sampled",
+    anchor="Fig. 7",
+    title="Per-round syndrome weights and LER-vs-weight under both policies",
+    builder=fig7_hamming_weight,
+    params={"distance": 5, "tau_ns": 1000.0, "shots": 12_000, "seed": 2025},
+    columns=("policy", "kind", "round", "mean_weight", "merge_round",
+             "weight", "shots", "failures"),
+    vega={"mark": "line", "x": "round", "y": "mean_weight", "color": "policy"},
+))
 
 
 # ---------------------------------------------------------------------------
-# Fig. 10 / Fig. 11: extra-rounds arithmetic
+# Fig. 10 / Fig. 11: slack-resolution solutions (Eq. 1 / Hybrid heatmap)
 # ---------------------------------------------------------------------------
 
+#: (T_P, T_P', tau) of the paper's Fig. 10 bars, used when ``configs`` is None
 FIG10_CONFIGS = [
     (1000, 1200, 500),
     (1000, 1200, 1000),
@@ -308,294 +490,172 @@ FIG10_CONFIGS = [
 ]
 
 
-def fig10_extra_rounds_configs(configs=None):
+def fig10_extra_rounds_configs(params, store):
     """Extra rounds needed per Eq. (1) for the Fig. 10 configurations."""
-    out = []
-    for t_p, t_pp, tau in configs or FIG10_CONFIGS:
+    rows = []
+    for t_p, t_pp, tau in params["configs"] or FIG10_CONFIGS:
         sol = extra_rounds_solution(t_p, t_pp, tau, max_rounds=100)
-        out.append(
-            {
-                "t_p": t_p,
-                "t_pp": t_pp,
-                "tau": tau,
-                "extra_rounds": None if sol is None else sol.extra_rounds_p,
-            }
-        )
-    return out
+        rows.append({
+            "t_p": t_p,
+            "t_pp": t_pp,
+            "tau": tau,
+            "extra_rounds": None if sol is None else sol.extra_rounds_p,
+        })
+    return rows
 
 
-def fig11_hybrid_heatmap(
-    eps_values=(100, 400),
-    t_p: int = 1000,
-    t_pp_values=range(1000, 1650, 25),
-    tau_values=range(100, 1450, 50),
-    max_rounds: int = 5,
-):
+register(FigureSpec(
+    name="fig10",
+    category="analytic",
+    anchor="Fig. 10",
+    title="Extra rounds needed per Eq. (1) for the Fig. 10 configurations",
+    builder=fig10_extra_rounds_configs,
+    params={"configs": None},
+    columns=("t_p", "t_pp", "tau", "extra_rounds"),
+    vega={"mark": "bar", "x": "tau", "y": "extra_rounds", "color": "t_pp"},
+))
+
+
+def fig11_hybrid_heatmap(params, store):
     """(tau, T_P') -> extra rounds z for the Hybrid policy; None = no solution."""
-    out = {}
-    for eps in eps_values:
-        grid = {}
-        for t_pp in t_pp_values:
-            for tau in tau_values:
-                if t_pp == t_p:
-                    grid[(tau, t_pp)] = None
-                    continue
-                sol = hybrid_solution(t_p, t_pp, tau, eps, max_rounds=max_rounds)
-                grid[(tau, t_pp)] = None if sol is None else sol.extra_rounds_p
-        out[eps] = grid
-    return out
+    t_p = int(params["t_p"])
+    rows = []
+    for eps in params["eps_values"]:
+        for t_pp in params["t_pp_values"]:
+            for tau in params["tau_values"]:
+                sol = None if t_pp == t_p else hybrid_solution(
+                    t_p, t_pp, tau, eps, max_rounds=int(params["max_rounds"])
+                )
+                rows.append({"eps": eps, "tau": tau, "t_pp": t_pp,
+                             "extra_rounds": None if sol is None else sol.extra_rounds_p})
+    return sorted(rows, key=lambda r: (r["eps"], r["tau"], r["t_pp"]))
+
+
+register(FigureSpec(
+    name="fig11",
+    category="analytic",
+    anchor="Fig. 11",
+    title="(tau, T_P') -> Hybrid extra rounds; blank cells have no solution",
+    builder=fig11_hybrid_heatmap,
+    params={
+        "eps_values": (100, 400),
+        "t_p": 1000,
+        "t_pp_values": tuple(range(1000, 1650, 25)),
+        "tau_values": tuple(range(100, 1450, 50)),
+        "max_rounds": 5,
+    },
+    columns=("eps", "tau", "t_pp", "extra_rounds"),
+    vega={"mark": "rect", "x": "tau", "y": "t_pp", "color": "extra_rounds"},
+))
 
 
 # ---------------------------------------------------------------------------
-# Fig. 14 / Fig. 15 / Table 1 / Table 4: Active vs Passive LER sweeps
+# Fig. 14 / Fig. 15: headline Active vs Passive LER sweeps
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolicySweepPoint:
-    """LER of one (distance, tau, policy) configuration."""
-
-    distance: int
-    tau_ns: float
-    policy: str
-    shots: int
-    estimates: list[RateEstimate]
-    plan: dict = field(default_factory=dict)
-
-
-def sweep_policies(
-    policies,
-    distances,
-    taus_ns,
-    shots: int,
-    *,
-    hardware: HardwareConfig = IBM,
-    ls_basis: str = "Z",
-    t_pp_ns: float | None = None,
-    base_rounds: int | None = None,
-    policy_kwargs: dict | None = None,
-    decoder: str = "unionfind",
-    store=None,
-    rng=None,
-) -> list[PolicySweepPoint]:
-    """Run an LER sweep over policies x distances x slacks.
-
-    When a result store is active (an explicit ``store``, one set with
-    :func:`repro.store.set_default_store`, or the ``REPRO_STORE_ROOT``
-    environment knob) *and* ``rng`` is an integer seed, every point reads
-    through the store: already-decoded points cost zero new shots, new
-    points are decoded and persisted.  Store-backed points draw from
-    per-point seed streams keyed by content hash (required for
-    order-independent caching), so their numbers differ from the shared
-    sequential stream the storeless path samples — pick one mode per study.
-    """
-    if store is None:
-        from ..store import default_store
-
-        store = default_store()
-    use_store = store is not None and isinstance(rng, int) and not isinstance(rng, bool)
-    seed = rng if use_store else None
-    rng = resolve_rng(rng)
-    out = []
-    for d in distances:
-        for tau in taus_ns:
-            for name in policies:
-                kwargs = (policy_kwargs or {}).get(name, {})
-                policy = make_policy(name, **kwargs)
-                config = SurgeryLerConfig(
-                    distance=d,
-                    hardware=hardware,
-                    policy_name=name,
-                    tau_ns=float(tau),
-                    ls_basis=ls_basis,
-                    t_pp_ns=t_pp_ns,
-                    base_rounds=base_rounds,
-                    policy_args=tuple(sorted(kwargs.items())),
-                )
-                if use_store:
-                    from .sweeps import ensure_point, point_record_estimates
-
-                    record = ensure_point(
-                        store,
-                        config,
-                        name,
-                        tuple(sorted(kwargs.items())),
-                        decoder=decoder,
-                        seed=seed,
-                        batch_shots=shots,
-                    )
-                    if record.get("status") == "not_applicable":
-                        continue
-                    out.append(
-                        PolicySweepPoint(
-                            distance=d,
-                            tau_ns=float(tau),
-                            policy=name,
-                            shots=int(record["shots"]),
-                            estimates=point_record_estimates(record),
-                            plan=dict(record.get("plan_summary", {})),
-                        )
-                    )
-                    continue
-                try:
-                    res = run_surgery_ler(config, policy, shots, rng, decoder=decoder)
-                except PolicyNotApplicableError:
-                    continue
-                out.append(
-                    PolicySweepPoint(
-                        distance=d,
-                        tau_ns=float(tau),
-                        policy=name,
-                        shots=shots,
-                        estimates=res.estimates,
-                        plan=res.plan_summary,
-                    )
-                )
-    return out
+def _fig14_sweeps(hardware, tag):
+    def sweeps(params):
+        return [_ler_sweep(
+            f"fig14-{tag}", params,
+            distances=params["distances"],
+            taus_ns=params["taus_ns"],
+            policies=(_pol("passive"), _pol("active")),
+            hardware=hardware,
+        )]
+    return sweeps
 
 
-def fig14_active_vs_passive(
-    distances=(3, 5, 7),
-    taus_ns=(500.0, 1000.0),
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig = IBM,
-    ls_basis: str = "Z",
-    rng=None,
-):
+def fig14_active_vs_passive(params, store, *, sweeps):
     """Reduction in LER (Passive/Active) per distance, slack, observable."""
-    points = sweep_policies(
-        ("passive", "active"), distances, taus_ns, shots,
-        hardware=hardware, ls_basis=ls_basis, rng=rng,
-    )
-    by_key = {(p.distance, p.tau_ns, p.policy): p for p in points}
+    ests = {(pt.config.distance, pt.config.tau_ns, pt.policy_name): est
+            for pt, est, _ in ler_points(sweeps(params), store)}
     rows = []
-    for d in distances:
-        for tau in taus_ns:
-            passive = by_key[(d, float(tau), "passive")]
-            active = by_key[(d, float(tau), "active")]
+    for d in params["distances"]:
+        for tau in params["taus_ns"]:
+            passive = ests[(d, float(tau), "passive")]
+            active = ests[(d, float(tau), "active")]
             for obs_index, obs_name in ((1, "joint"), (0, "single")):
-                num = passive.estimates[obs_index]
-                den = active.estimates[obs_index]
-                rows.append(
-                    {
-                        "distance": d,
-                        "tau_ns": float(tau),
-                        "observable": obs_name,
-                        "ler_passive": num.rate,
-                        "ler_active": den.rate,
-                        "reduction": (num.rate / den.rate) if den.rate else float("inf"),
-                    }
-                )
-    return rows
-
-
-def fig15_cost_of_synchronization(
-    distances=(3, 5, 7),
-    tau_ns: float = 1000.0,
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig = GOOGLE,
-    rng=None,
-):
-    """LER of ideal vs Active vs Passive systems (Z-basis LS)."""
-    points = sweep_policies(
-        ("ideal", "active", "passive"), distances, (tau_ns,), shots,
-        hardware=hardware, rng=rng,
-    )
-    rows = []
-    for p in points:
-        rows.append(
-            {
-                "distance": p.distance,
-                "policy": p.policy,
-                "ler_joint": p.estimates[1].rate,
-                "ler_single": p.estimates[0].rate,
-            }
-        )
-    return rows
-
-
-def table1_error_counts(
-    distances=(3, 5, 7),
-    slacks_ns=(500.0, 1000.0),
-    shots: int = 100_000,
-    *,
-    hardware: HardwareConfig = TABLE1_HARDWARE,
-    rng=None,
-):
-    """Logical-error counts, Passive vs Active (Table 1 at reduced scale)."""
-    points = sweep_policies(
-        ("passive", "active"), distances, slacks_ns, shots, hardware=hardware, rng=rng
-    )
-    rows = {}
-    for p in points:
-        rows[(p.policy, p.distance, p.tau_ns)] = p.estimates[1].successes
-    table = []
-    for tau in slacks_ns:
-        for d in distances:
-            passive = rows[("passive", d, float(tau))]
-            active = rows[("active", d, float(tau))]
-            reduction = 100.0 * (passive - active) / passive if passive else 0.0
-            table.append(
-                {
+                num, den = passive[obs_index].rate, active[obs_index].rate
+                rows.append({
                     "distance": d,
-                    "slack_ns": float(tau),
-                    "errors_passive": passive,
-                    "errors_active": active,
-                    "pct_reduction": reduction,
-                }
-            )
-    return table
-
-
-def table4_mean_reductions(
-    distances=(5, 7),
-    tau_ns: float = 1000.0,
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig | None = None,
-    t_pp_values_ns=(1050.0, 1100.0, 1150.0),
-    eps_ns: float = 400.0,
-    rng=None,
-):
-    """Mean LER reduction of Active / Extra Rounds / Hybrid vs Passive.
-
-    Uses the paper's Fig. 19 / Table 4 cycle configuration: T_P = 1000 ns and
-    T_P' representing 1/2/3 extra CNOT layers (1050/1100/1150 ns), on
-    Google-like coherence times.
-    """
-    rng = _sweep_rng(rng)
-    hardware = hardware or GOOGLE.with_cycle_time(1000.0)
-    rows = []
-    for d in distances:
-        reductions: dict[str, list[float]] = {"active": [], "extra_rounds": [], "hybrid": []}
-        for t_pp in t_pp_values_ns:
-            points = sweep_policies(
-                ("passive", "active", "extra_rounds", "hybrid"),
-                (d,),
-                (tau_ns,),
-                shots,
-                hardware=hardware,
-                t_pp_ns=t_pp,
-                policy_kwargs={
-                    "hybrid": {"eps_ns": eps_ns, "max_rounds": 100},
-                    "extra_rounds": {"max_rounds": 100},
-                },
-                rng=rng,
-            )
-            by_policy = {p.policy: p for p in points}
-            passive = by_policy["passive"].estimates[1].rate
-            for name in reductions:
-                if name in by_policy and by_policy[name].estimates[1].rate > 0:
-                    reductions[name].append(passive / by_policy[name].estimates[1].rate)
-        rows.append(
-            {
-                "distance": d,
-                **{name: float(np.mean(v)) if v else None for name, v in reductions.items()},
-            }
-        )
+                    "tau_ns": float(tau),
+                    "observable": obs_name,
+                    "ler_passive": num,
+                    "ler_active": den,
+                    "reduction": _reduction(num, den),
+                })
     return rows
+
+
+_FIG14_PARAMS = {
+    "distances": (3, 5, 7),
+    "taus_ns": (500.0, 1000.0),
+    "shots": 20_000,
+    "seed": 2025,
+}
+_FIG14_IBM = _fig14_sweeps(IBM, "ibm")
+_FIG14_GOOGLE = _fig14_sweeps(GOOGLE, "google")
+
+register(FigureSpec(
+    name="fig14_ibm",
+    category="ler-sweep",
+    anchor="Fig. 14",
+    title="LER reduction (Passive/Active) per distance and slack, IBM timings",
+    builder=partial(fig14_active_vs_passive, sweeps=_FIG14_IBM),
+    params=dict(_FIG14_PARAMS),
+    columns=("distance", "tau_ns", "observable", "ler_passive", "ler_active", "reduction"),
+    sweeps=_FIG14_IBM,
+    vega={"mark": "bar", "x": "distance", "y": "reduction", "color": "tau_ns"},
+))
+
+register(FigureSpec(
+    name="fig14_google",
+    category="ler-sweep",
+    anchor="Fig. 14",
+    title="LER reduction (Passive/Active) per distance and slack, Google timings",
+    builder=partial(fig14_active_vs_passive, sweeps=_FIG14_GOOGLE),
+    params=dict(_FIG14_PARAMS),
+    columns=("distance", "tau_ns", "observable", "ler_passive", "ler_active", "reduction"),
+    sweeps=_FIG14_GOOGLE,
+    vega={"mark": "bar", "x": "distance", "y": "reduction", "color": "tau_ns"},
+))
+
+
+def _fig15_sweeps(params):
+    return [_ler_sweep(
+        "fig15", params,
+        distances=params["distances"],
+        taus_ns=(params["tau_ns"],),
+        policies=(_pol("ideal"), _pol("active"), _pol("passive")),
+        hardware=GOOGLE,
+    )]
+
+
+def fig15_cost_of_synchronization(params, store):
+    """LER of ideal vs Active vs Passive systems (Z-basis LS)."""
+    return [
+        {
+            "distance": pt.config.distance,
+            "policy": pt.policy_name,
+            "ler_joint": est[1].rate,
+            "ler_single": est[0].rate,
+        }
+        for pt, est, _ in ler_points(_fig15_sweeps(params), store)
+    ]
+
+
+register(FigureSpec(
+    name="fig15",
+    category="ler-sweep",
+    anchor="Fig. 15",
+    title="LER of ideal vs Active vs Passive systems (Z-basis LS)",
+    builder=fig15_cost_of_synchronization,
+    params={"distances": (3, 5), "tau_ns": 1000.0, "shots": 12_000, "seed": 2025},
+    columns=("distance", "policy", "ler_joint", "ler_single"),
+    sweeps=_fig15_sweeps,
+    vega={"mark": "bar", "x": "distance", "y": "ler_joint", "color": "policy"},
+))
 
 
 # ---------------------------------------------------------------------------
@@ -603,35 +663,47 @@ def table4_mean_reductions(
 # ---------------------------------------------------------------------------
 
 
-def fig16_workload_ler_increase(
-    distance: int = 5,
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig = GOOGLE,
-    rng=None,
-):
+def _fig16_sweeps(params):
+    return [_ler_sweep(
+        "fig16", params,
+        distances=(params["distance"],),
+        taus_ns=(500.0, 1000.0),
+        policies=(_pol("ideal"), _pol("active"), _pol("passive")),
+        hardware=GOOGLE,
+    )]
+
+
+def fig16_workload_ler_increase(params, store):
     """Relative program-LER increase per workload for Passive/Active."""
-    rng = _sweep_rng(rng)
-    points = sweep_policies(
-        ("ideal", "active", "passive"), (distance,), (500.0, 1000.0), shots,
-        hardware=hardware, rng=rng,
-    )
-    by_key = {(p.policy, p.tau_ns): p.estimates[1].rate for p in points}
-    ideal = max(by_key[("ideal", 500.0)], 1e-9)
-    table = syncs_per_cycle_table()
-    rows = []
-    for est in table:
-        spc = est.syncs_per_cycle
-        rows.append(
-            {
-                "workload": est.name,
-                "syncs_per_cycle": spc,
-                "passive_tau1000": program_ler_increase(spc, by_key[("passive", 1000.0)], ideal),
-                "passive_tau500": program_ler_increase(spc, by_key[("passive", 500.0)], ideal),
-                "active": program_ler_increase(spc, by_key[("active", 1000.0)], ideal),
-            }
-        )
-    return rows
+    lers = {(pt.policy_name, pt.config.tau_ns): est[1].rate
+            for pt, est, _ in ler_points(_fig16_sweeps(params), store)}
+    ideal = max(lers[("ideal", 500.0)], 1e-9)
+    return [
+        {
+            "workload": est.name,
+            "syncs_per_cycle": est.syncs_per_cycle,
+            "passive_tau1000": program_ler_increase(
+                est.syncs_per_cycle, lers[("passive", 1000.0)], ideal),
+            "passive_tau500": program_ler_increase(
+                est.syncs_per_cycle, lers[("passive", 500.0)], ideal),
+            "active": program_ler_increase(
+                est.syncs_per_cycle, lers[("active", 1000.0)], ideal),
+        }
+        for est in syncs_per_cycle_table()
+    ]
+
+
+register(FigureSpec(
+    name="fig16",
+    category="ler-sweep",
+    anchor="Fig. 16",
+    title="Relative program-LER increase per workload for Passive/Active",
+    builder=fig16_workload_ler_increase,
+    params={"distance": 5, "shots": 12_000, "seed": 2025},
+    columns=("workload", "syncs_per_cycle", "passive_tau1000", "passive_tau500", "active"),
+    sweeps=_fig16_sweeps,
+    vega={"mark": "bar", "x": "workload", "y": "passive_tau1000"},
+))
 
 
 # ---------------------------------------------------------------------------
@@ -639,120 +711,163 @@ def fig16_workload_ler_increase(
 # ---------------------------------------------------------------------------
 
 
-def fig17_active_intra(
-    distances=(3, 5, 7),
-    taus_ns=(500.0, 1000.0),
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig = IBM,
-    rng=None,
-):
+def _fig17_sweeps(params):
+    return [_ler_sweep(
+        "fig17", params,
+        distances=params["distances"],
+        taus_ns=params["taus_ns"],
+        policies=(_pol("passive"), _pol("active_intra")),
+        hardware=IBM,
+    )]
+
+
+def fig17_active_intra(params, store):
     """Reduction of Active-intra vs Passive (can dip below 1)."""
-    points = sweep_policies(
-        ("passive", "active_intra"), distances, taus_ns, shots, hardware=hardware, rng=rng
-    )
-    by_key = {(p.distance, p.tau_ns, p.policy): p for p in points}
-    rows = []
-    for d in distances:
-        for tau in taus_ns:
-            passive = by_key[(d, float(tau), "passive")].estimates[1]
-            intra = by_key[(d, float(tau), "active_intra")].estimates[1]
-            rows.append(
-                {
-                    "distance": d,
-                    "tau_ns": float(tau),
-                    "reduction": (passive.rate / intra.rate) if intra.rate else float("inf"),
-                }
-            )
+    lers = {(pt.config.distance, pt.config.tau_ns, pt.policy_name): est[1].rate
+            for pt, est, _ in ler_points(_fig17_sweeps(params), store)}
+    return [
+        {
+            "distance": d,
+            "tau_ns": float(tau),
+            "reduction": _reduction(lers[(d, float(tau), "passive")],
+                                    lers[(d, float(tau), "active_intra")]),
+        }
+        for d in params["distances"]
+        for tau in params["taus_ns"]
+    ]
+
+
+register(FigureSpec(
+    name="fig17",
+    category="ler-sweep",
+    anchor="Fig. 17",
+    title="Reduction of Active-intra vs Passive (can dip below 1)",
+    builder=fig17_active_intra,
+    params={"distances": (3, 5), "taus_ns": (500.0, 1000.0), "shots": 12_000, "seed": 2025},
+    columns=("distance", "tau_ns", "reduction"),
+    sweeps=_fig17_sweeps,
+    vega={"mark": "bar", "x": "distance", "y": "reduction", "color": "tau_ns"},
+))
+
+
+def _fig18_sweeps(params):
+    distance = int(params["distance"])
+    return [
+        _ler_sweep(
+            f"fig18-r{r}", params,
+            distances=(distance,),
+            taus_ns=(params["tau_ns"],),
+            policies=(_pol("passive"), _pol("active"), _pol("ideal")),
+            hardware=IBM,
+            base_rounds=distance + 1 + int(r),
+        )
+        for r in params["extra_rounds"]
+    ]
+
+
+def fig18_additional_rounds(params, store):
+    """(a) Active benefit when slack spreads over d+1+R rounds;
+    (b) LER growth with rounds in the absence of any slack."""
+    lers = {(pt.config.base_rounds, pt.policy_name): est[1].rate
+            for pt, est, _ in ler_points(_fig18_sweeps(params), store)}
+    base = [(r, int(params["distance"]) + 1 + int(r)) for r in params["extra_rounds"]]
+    rows = [
+        {"kind": "reduction_vs_rounds", "extra_rounds": r,
+         "reduction": _reduction(lers[(b, "passive")], lers[(b, "active")])}
+        for r, b in base
+    ]
+    rows += [
+        {"kind": "ler_vs_rounds", "extra_rounds": r, "ler_no_slack": lers[(b, "ideal")]}
+        for r, b in base
+    ]
     return rows
 
 
-def fig18_additional_rounds(
-    distance: int = 5,
-    extra_rounds=(0, 2, 4, 6),
-    tau_ns: float = 1000.0,
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig = IBM,
-    rng=None,
-):
-    """(a) Active benefit when slack spreads over d+1+R rounds;
-    (b) LER growth with rounds in the absence of any slack."""
-    rng = _sweep_rng(rng)
-    reduction_rows = []
-    ler_rows = []
-    for r in extra_rounds:
-        base = distance + 1 + r
-        points = sweep_policies(
-            ("passive", "active", "ideal"), (distance,), (tau_ns,), shots,
-            hardware=hardware, base_rounds=base, rng=rng,
-        )
-        by_policy = {p.policy: p for p in points}
-        passive = by_policy["passive"].estimates[1].rate
-        active = by_policy["active"].estimates[1].rate
-        reduction_rows.append(
-            {
-                "extra_rounds": r,
-                "reduction": (passive / active) if active else float("inf"),
-            }
-        )
-        ler_rows.append({"extra_rounds": r, "ler_no_slack": by_policy["ideal"].estimates[1].rate})
-    return {"reduction_vs_rounds": reduction_rows, "ler_vs_rounds": ler_rows}
+register(FigureSpec(
+    name="fig18",
+    category="ler-sweep",
+    anchor="Fig. 18",
+    title="Active benefit vs spread rounds; LER growth without slack",
+    builder=fig18_additional_rounds,
+    params={"distance": 5, "extra_rounds": (0, 2, 4), "tau_ns": 1000.0,
+            "shots": 12_000, "seed": 2025},
+    columns=("kind", "extra_rounds", "reduction", "ler_no_slack"),
+    sweeps=_fig18_sweeps,
+    vega={"mark": "line", "x": "extra_rounds", "y": "reduction", "color": "kind"},
+))
 
 
 # ---------------------------------------------------------------------------
 # Fig. 19: policy comparison with unequal cycle times
 # ---------------------------------------------------------------------------
 
+#: the cycle configuration of Fig. 19 and Tables 2 / 4: T_P = 1000 ns on
+#: Google-like coherence; each study sets its own slower T_P'.
+UNEQUAL_CYCLES = GOOGLE.with_cycle_time(1000.0)
 
-def fig19_policy_comparison(
-    distance: int = 5,
-    taus_ns=(500.0, 1000.0),
-    eps_values_ns=(100.0, 200.0, 300.0, 400.0),
-    shots: int = 20_000,
-    *,
-    hardware: HardwareConfig | None = None,
-    t_pp_values_ns=(1050.0, 1100.0, 1150.0),
-    rng=None,
-):
+
+def _fig19_sweeps(params):
+    policies = [_pol("passive"), _pol("active"), _pol("extra_rounds")]
+    policies += [
+        _pol("hybrid", eps_ns=float(eps), max_rounds=100)
+        for eps in params["eps_values_ns"]
+    ]
+    return [
+        _ler_sweep(
+            f"fig19-tpp{int(t_pp)}", params,
+            distances=(params["distance"],),
+            taus_ns=params["taus_ns"],
+            policies=tuple(policies),
+            hardware=UNEQUAL_CYCLES,
+            t_pp_ns=float(t_pp),
+        )
+        for t_pp in params["t_pp_values_ns"]
+    ]
+
+
+def fig19_policy_comparison(params, store):
     """LER reduction vs Passive for Active / Extra Rounds / Hybrid(eps).
 
-    Paper configuration: T_P = 1000 ns, T_P' in {1050, 1100, 1150} ns (one to
-    three extra CNOT layers), averaged over the cycle-time combinations.
+    Each policy's reduction is averaged over the T_P' values (one to three
+    extra CNOT layers on T_P = 1000 ns).
     """
-    rng = _sweep_rng(rng)
-    hardware = hardware or GOOGLE.with_cycle_time(1000.0)
+    hybrid_labels = {float(eps): f"hybrid@{eps}" for eps in params["eps_values_ns"]}
+    results: dict = {}
+    for pt, est, _ in ler_points(_fig19_sweeps(params), store):
+        label = pt.policy_name
+        if label == "hybrid":
+            label = hybrid_labels[dict(pt.policy_kwargs)["eps_ns"]]
+        results.setdefault((pt.config.t_pp_ns, pt.config.tau_ns), {})[label] = est[1].rate
     accum: dict[tuple[str, float], list[float]] = {}
-    for t_pp in t_pp_values_ns:
-        for tau in taus_ns:
-            policies = ["passive", "active", "extra_rounds"] + [
-                f"hybrid@{eps}" for eps in eps_values_ns
-            ]
-            results = {}
-            for label in policies:
-                if label.startswith("hybrid@"):
-                    eps = float(label.split("@")[1])
-                    name, kwargs = "hybrid", {"eps_ns": eps, "max_rounds": 100}
-                else:
-                    name, kwargs = label, {}
-                pts = sweep_policies(
-                    (name,), (distance,), (tau,), shots,
-                    hardware=hardware, t_pp_ns=t_pp,
-                    policy_kwargs={name: kwargs}, rng=rng,
-                )
-                if pts:
-                    results[label] = pts[0].estimates[1].rate
-            passive = results.get("passive")
+    for t_pp in params["t_pp_values_ns"]:
+        for tau in params["taus_ns"]:
+            lers = results.get((float(t_pp), float(tau)), {})
+            passive = lers.get("passive")
             if not passive:
                 continue
-            for label, ler in results.items():
+            for label, ler in lers.items():
                 if label == "passive" or ler <= 0:
                     continue
                 accum.setdefault((label, tau), []).append(passive / ler)
-    rows = []
-    for (label, tau), vals in sorted(accum.items()):
-        rows.append({"policy": label, "tau_ns": tau, "reduction": float(np.mean(vals))})
-    return rows
+    return [
+        {"policy": label, "tau_ns": tau, "reduction": float(np.mean(vals))}
+        for (label, tau), vals in sorted(accum.items())
+    ]
+
+
+register(FigureSpec(
+    name="fig19",
+    category="ler-sweep",
+    anchor="Fig. 19",
+    title="LER reduction vs Passive for Active / Extra Rounds / Hybrid(eps)",
+    builder=fig19_policy_comparison,
+    params={"distance": 5, "taus_ns": (500.0, 1000.0),
+            "eps_values_ns": (100.0, 400.0), "shots": 12_000,
+            "t_pp_values_ns": (1050.0, 1150.0), "seed": 2025},
+    columns=("policy", "tau_ns", "reduction"),
+    sweeps=_fig19_sweeps,
+    vega={"mark": "bar", "x": "policy", "y": "reduction", "color": "tau_ns"},
+))
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +875,12 @@ def fig19_policy_comparison(
 # ---------------------------------------------------------------------------
 
 
-def fig20_engine_scaling(
-    patch_counts=(2, 5, 10, 20, 30, 40, 50),
-    repeats: int = 200,
-    rng=None,
-):
+def fig20_engine_scaling(params, store):
     """CPU time of k-patch synchronization planning + workload CNOT widths."""
-    rng = resolve_rng(rng)
-    timing_rows = []
-    for k in patch_counts:
+    rng = resolve_rng(int(params["seed"]))
+    repeats = int(params["repeats"])
+    rows = []
+    for k in params["patch_counts"]:
         patches = [
             PatchState(
                 patch_id=i,
@@ -780,71 +892,88 @@ def fig20_engine_scaling(
         with obs.stopwatch() as sw:
             for _ in range(repeats):
                 plan_k_patch_sync(patches, policy="hybrid")
-        timing_rows.append({"patches": k, "cpu_time_s": sw.seconds / repeats})
-    cnot_rows = [
-        {"workload": name, "max_concurrent_cnots": max_concurrent_cnots(build_workload(name))}
+        rows.append({"kind": "timing", "patches": k, "cpu_time_s": sw.seconds / repeats})
+    rows += [
+        {"kind": "max_concurrent_cnots", "workload": name,
+         "max_concurrent_cnots": max_concurrent_cnots(build_workload(name))}
         for name in sorted(PAPER_WORKLOADS)
     ]
-    return {"timing": timing_rows, "max_concurrent_cnots": cnot_rows}
-
-
-# ---------------------------------------------------------------------------
-# Fig. 21 / Table 5: neutral atoms
-# ---------------------------------------------------------------------------
-
-
-def fig21_neutral_atom(
-    distance: int = 3,
-    taus_ms=(0.2, 0.6, 1.0, 1.6, 2.0),
-    shots: int = 20_000,
-    *,
-    t_pp_ms: float = 2.2,
-    rng=None,
-):
-    """Reduction vs Passive on a QuEra-like system (Active, Hybrid eps)."""
-    rng = _sweep_rng(rng)
-    hw = QUERA.with_cycle_time(2.0e6)
-    t_pp = t_pp_ms * 1e6
-    rows = []
-    for tau_ms in taus_ms:
-        tau = tau_ms * 1e6
-        pts = sweep_policies(
-            ("passive", "active", "hybrid"), (distance,), (tau,), shots,
-            hardware=hw, t_pp_ns=t_pp,
-            policy_kwargs={"hybrid": {"eps_ns": 0.4e6, "max_rounds": 100}},
-            rng=rng,
-        )
-        by_policy = {p.policy: p for p in pts}
-        passive = by_policy["passive"].estimates[1].rate
-        for name in ("active", "hybrid"):
-            if name not in by_policy:
-                continue
-            ler = by_policy[name].estimates[1].rate
-            rows.append(
-                {
-                    "tau_ms": tau_ms,
-                    "policy": name,
-                    "reduction": (passive / ler) if ler else float("inf"),
-                    "extra_rounds": by_policy[name].plan.get("extra_rounds_p", 0),
-                }
-            )
     return rows
 
 
-def table5_neutral_atom_rounds(
-    taus_ms=(0.2, 0.6, 1.0, 1.6, 2.0),
-    eps_values_ms=(0.1, 0.4),
-    t_p_ms: float = 2.0,
-    t_pp_values_ms=(2.2, 2.4, 2.6),
-):
+register(FigureSpec(
+    name="fig20",
+    category="engine",
+    anchor="Fig. 20",
+    title="CPU time of k-patch sync planning + workload CNOT widths",
+    builder=fig20_engine_scaling,
+    params={"patch_counts": (2, 5, 10, 20, 30, 40, 50), "repeats": 200, "seed": 2025},
+    columns=("kind", "patches", "cpu_time_s", "workload", "max_concurrent_cnots"),
+    vega={"mark": "line", "x": "patches", "y": "cpu_time_s"},
+))
+
+
+# ---------------------------------------------------------------------------
+# Fig. 21 / Table 5: neutral-atom case study
+# ---------------------------------------------------------------------------
+
+
+def _fig21_sweeps(params):
+    return [_ler_sweep(
+        "fig21", params,
+        distances=(params["distance"],),
+        taus_ns=tuple(float(t) * 1e6 for t in params["taus_ms"]),
+        policies=(_pol("passive"), _pol("active"),
+                  _pol("hybrid", eps_ns=0.4e6, max_rounds=100)),
+        hardware=QUERA.with_cycle_time(2.0e6),
+        t_pp_ns=float(params["t_pp_ms"]) * 1e6,
+    )]
+
+
+def fig21_neutral_atom(params, store):
+    """Reduction vs Passive on a QuEra-like system (Active, Hybrid eps)."""
+    points = {(pt.config.tau_ns, pt.policy_name): (est[1].rate, plan)
+              for pt, est, plan in ler_points(_fig21_sweeps(params), store)}
+    rows = []
+    for tau_ms in params["taus_ms"]:
+        tau = float(tau_ms) * 1e6
+        passive = points[(tau, "passive")][0]
+        for name in ("active", "hybrid"):
+            if (tau, name) not in points:
+                continue
+            ler, plan = points[(tau, name)]
+            rows.append({
+                "tau_ms": tau_ms,
+                "policy": name,
+                "reduction": _reduction(passive, ler),
+                "extra_rounds": plan.get("extra_rounds_p", 0),
+            })
+    return rows
+
+
+register(FigureSpec(
+    name="fig21",
+    category="ler-sweep",
+    anchor="Fig. 21",
+    title="Reduction vs Passive on a QuEra-like system (Active, Hybrid)",
+    builder=fig21_neutral_atom,
+    params={"distance": 3, "taus_ms": (0.2, 1.0, 2.0), "shots": 12_000,
+            "t_pp_ms": 2.2, "seed": 2025},
+    columns=("tau_ms", "policy", "reduction", "extra_rounds"),
+    sweeps=_fig21_sweeps,
+    vega={"mark": "line", "x": "tau_ms", "y": "reduction", "color": "policy"},
+))
+
+
+def table5_neutral_atom_rounds(params, store):
     """Hybrid extra rounds needed on neutral atoms (averaged over T_P')."""
     rows = []
-    for eps_ms in eps_values_ms:
-        for tau_ms in taus_ms:
+    for eps_ms in params["eps_values_ms"]:
+        for tau_ms in params["taus_ms"]:
             zs = []
-            for t_pp_ms in t_pp_values_ms:
+            for t_pp_ms in params["t_pp_values_ms"]:
                 sol = hybrid_solution(
-                    int(t_p_ms * 1e6),
+                    int(float(params["t_p_ms"]) * 1e6),
                     int(t_pp_ms * 1e6),
                     int(tau_ms * 1e6),
                     int(eps_ms * 1e6),
@@ -852,59 +981,62 @@ def table5_neutral_atom_rounds(
                 )
                 if sol is not None:
                     zs.append(sol.extra_rounds_p)
-            rows.append(
-                {
-                    "eps_ms": eps_ms,
-                    "tau_ms": tau_ms,
-                    "mean_extra_rounds": float(np.mean(zs)) if zs else None,
-                }
-            )
+            rows.append({
+                "eps_ms": eps_ms,
+                "tau_ms": tau_ms,
+                "mean_extra_rounds": float(np.mean(zs)) if zs else None,
+            })
     return rows
 
 
+register(FigureSpec(
+    name="table5",
+    category="analytic",
+    anchor="Table 5",
+    title="Hybrid extra rounds needed on neutral atoms (averaged over T_P')",
+    builder=table5_neutral_atom_rounds,
+    params={"taus_ms": (0.2, 0.6, 1.0, 1.6, 2.0), "eps_values_ms": (0.1, 0.4),
+            "t_p_ms": 2.0, "t_pp_values_ms": (2.2, 2.4, 2.6)},
+    columns=("eps_ms", "tau_ms", "mean_extra_rounds"),
+    vega={"mark": "line", "x": "tau_ms", "y": "mean_extra_rounds", "color": "eps_ms"},
+))
+
+
 # ---------------------------------------------------------------------------
-# Fig. 22: hierarchical-decoder speedup
+# Fig. 22: hierarchical-decoder speedup (LUT + MWPM latency model)
 # ---------------------------------------------------------------------------
 
-#: LUT size budgets per code distance (paper Sec. 7.5)
-LUT_SIZES = {3: 3 * 1024, 5: 3 * 1024 * 1024, 7: 30 * 1024 * 1024}
 
-
-def fig22_decoder_speedup(
-    distances=(3, 5),
-    tau_ns: float = 1000.0,
-    shots: int = 5_000,
-    *,
-    hardware: HardwareConfig = GOOGLE,
-    hit_latency_ns: float = 20.0,
-    rng=None,
-):
+def fig22_decoder_speedup(params, store):
     """Decode-latency speedup of Active over Passive with a LUT+MWPM stack.
 
     The fast level serves one lookup per syndrome round (LILLIPUT-style): a
     round whose detector weight is within the LUT's enumeration depth —
     ``floor((d+1)/2)``, the design point the paper's 3KB/3MB/30MB budgets
-    correspond to — costs ``hit_latency_ns``; heavier rounds invoke the
-    matching decoder, whose latency is sampled from wall-clock measurements
-    of our own MWPM implementation.  Passive synchronization concentrates the
+    correspond to — costs a 20 ns hit; heavier rounds invoke the matching
+    decoder, whose latency is sampled from wall-clock measurements of our
+    own MWPM implementation.  Passive synchronization concentrates the
     slack's errors into the merge round (the Fig. 7 spike), which is exactly
     the round that then overflows the LUT.
     """
-    rng = resolve_rng(rng)
+    hit_latency_ns = 20.0
+    rng = resolve_rng(int(params["seed"]))
+    shots = int(params["shots"])
     rows = []
-    for d in distances:
+    for d in params["distances"]:
         threshold = (d + 1) // 2
         stats = {}
         miss_latency_ns = None  # one shared dataset for both policies
         for policy_name in ("passive", "active"):
             config = SurgeryLerConfig(
-                distance=d, hardware=hardware, policy_name=policy_name, tau_ns=tau_ns
+                distance=d, hardware=GOOGLE, policy_name=policy_name,
+                tau_ns=float(params["tau_ns"]),
             )
             pipe = prepared_pipeline(config, make_policy(policy_name))
             det, _ = pipe.sampler.sample(shots, rng)
             if miss_latency_ns is None:
-                mwpm = MWPMDecoder(pipe.graph)
-                samples = measure_decoder_latencies(mwpm, det, max_samples=200)
+                samples = measure_decoder_latencies(MWPMDecoder(pipe.graph), det,
+                                                    max_samples=200)
                 miss_latency_ns = float(np.mean(samples))
             hits = 0
             requests = 0
@@ -915,82 +1047,168 @@ def fig22_decoder_speedup(
             misses = requests - hits
             stats[policy_name] = {
                 "hit_rate": hits / requests,
-                "mean_latency_ns": (hits * hit_latency_ns + misses * miss_latency_ns)
-                / shots,
+                "latency_ns": (hits * hit_latency_ns + misses * miss_latency_ns) / shots,
             }
-        rows.append(
-            {
-                "distance": d,
-                "hit_rate_passive": stats["passive"]["hit_rate"],
-                "hit_rate_active": stats["active"]["hit_rate"],
-                "speedup": (
-                    stats["passive"]["mean_latency_ns"] / stats["active"]["mean_latency_ns"]
-                    if stats["active"]["mean_latency_ns"]
-                    else float("inf")
-                ),
-            }
-        )
+        rows.append({
+            "distance": d,
+            "hit_rate_passive": stats["passive"]["hit_rate"],
+            "hit_rate_active": stats["active"]["hit_rate"],
+            "speedup": _reduction(stats["passive"]["latency_ns"],
+                                  stats["active"]["latency_ns"]),
+        })
     return rows
 
 
-def _surgery_decode_windows(pipe, per_patch: int) -> list[list[int]]:
-    """Decode windows of one surgery experiment: P's pre-merge rounds, P''s
-    pre-merge rounds, and the merged-patch phase (each one logical operation
-    of syndrome data).  Pre-merge round detector lists hold P's checks first,
-    then P''s."""
-    rp = pipe.plan.timeline_p.num_rounds
-    rpp = pipe.plan.timeline_pp.num_rounds
-    by_round = pipe.artifacts.detectors_by_round
-    w_p: list[int] = []
-    w_pp: list[int] = []
-    w_merged: list[int] = []
-    for label, indices in sorted(by_round.items()):
-        if label < max(rp, rpp):
-            if label < rp:
-                w_p.extend(indices[:per_patch])
-                w_pp.extend(indices[per_patch:])
-            else:
-                w_pp.extend(indices)
-        else:
-            w_merged.extend(indices)
-    return [w for w in (w_p, w_pp, w_merged) if w]
-
+register(FigureSpec(
+    name="fig22",
+    category="sampled",
+    anchor="Fig. 22",
+    title="Decode-latency speedup of Active over Passive (LUT + MWPM stack)",
+    builder=fig22_decoder_speedup,
+    params={"distances": (3, 5), "tau_ns": 1000.0, "shots": 4_000, "seed": 2025},
+    columns=("distance", "hit_rate_passive", "hit_rate_active", "speedup"),
+    vega={"mark": "bar", "x": "distance", "y": "speedup"},
+))
 
 # ---------------------------------------------------------------------------
-# Table 2: the worked policy-comparison configuration
+# Tables 1 / 2 / 4: error counts and worked configurations
 # ---------------------------------------------------------------------------
 
 
-def table2_policy_configuration(
-    shots: int = 100_000,
-    *,
-    distance: int = 5,
-    rng=None,
-):
+def _table1_sweeps(params):
+    return [_ler_sweep(
+        "table1", params,
+        distances=params["distances"],
+        taus_ns=params["slacks_ns"],
+        policies=(_pol("passive"), _pol("active")),
+        hardware=TABLE1_HARDWARE,
+    )]
+
+
+def table1_error_counts(params, store):
+    """Logical-error counts, Passive vs Active (Table 1 at reduced scale)."""
+    errors = {(pt.policy_name, pt.config.distance, pt.config.tau_ns): est[1].successes
+              for pt, est, _ in ler_points(_table1_sweeps(params), store)}
+    rows = []
+    for tau in params["slacks_ns"]:
+        for d in params["distances"]:
+            passive = errors[("passive", d, float(tau))]
+            active = errors[("active", d, float(tau))]
+            rows.append({
+                "distance": d,
+                "slack_ns": float(tau),
+                "errors_passive": passive,
+                "errors_active": active,
+                "pct_reduction": 100.0 * (passive - active) / passive if passive else 0.0,
+            })
+    return rows
+
+
+register(FigureSpec(
+    name="table1",
+    category="ler-sweep",
+    anchor="Table 1",
+    title="Logical-error counts, Passive vs Active (reduced scale)",
+    builder=table1_error_counts,
+    params={"distances": (3, 5), "slacks_ns": (500.0, 1000.0),
+            "shots": 12_000, "seed": 2025},
+    columns=("distance", "slack_ns", "errors_passive", "errors_active", "pct_reduction"),
+    sweeps=_table1_sweeps,
+    vega={"mark": "bar", "x": "distance", "y": "pct_reduction", "color": "slack_ns"},
+))
+
+
+def _table2_sweeps(params):
+    return [_ler_sweep(
+        "table2", params,
+        distances=(params["distance"],),
+        taus_ns=(1000.0,),
+        policies=(_pol("active"), _pol("extra_rounds", max_rounds=100),
+                  _pol("hybrid", eps_ns=400.0, max_rounds=100)),
+        hardware=UNEQUAL_CYCLES,
+        t_pp_ns=1325.0,
+    )]
+
+
+def table2_policy_configuration(params, store):
     """Idling period / extra rounds / LER for the Table 2 configuration.
 
     T_P = 1000 ns, T_P' = 1325 ns, tau = 1000 ns, eps = 400 ns (the paper
     uses d = 7 and 20M shots; distance and shots scale down here).
     """
-    rng = _sweep_rng(rng)
-    hw = GOOGLE.with_cycle_time(1000.0)
+    return [
+        {
+            "policy": pt.policy_name,
+            "idle_ns": plan["idle_ns"],
+            "extra_rounds": plan["extra_rounds_p"],
+            "ler": est[1].rate,
+        }
+        for pt, est, plan in ler_points(_table2_sweeps(params), store)
+    ]
+
+
+register(FigureSpec(
+    name="table2",
+    category="ler-sweep",
+    anchor="Table 2",
+    title="Idling period / extra rounds / LER for the Table 2 configuration",
+    builder=table2_policy_configuration,
+    params={"shots": 12_000, "distance": 5, "seed": 2025},
+    columns=("policy", "idle_ns", "extra_rounds", "ler"),
+    sweeps=_table2_sweeps,
+    vega={"mark": "bar", "x": "policy", "y": "ler"},
+))
+
+
+def _table4_sweeps(params):
+    policies = (_pol("passive"), _pol("active"), _pol("extra_rounds", max_rounds=100),
+                _pol("hybrid", eps_ns=float(params["eps_ns"]), max_rounds=100))
+    return [
+        _ler_sweep(
+            f"table4-d{int(d)}-tpp{int(t_pp)}", params,
+            distances=(d,),
+            taus_ns=(params["tau_ns"],),
+            policies=policies,
+            hardware=UNEQUAL_CYCLES,
+            t_pp_ns=float(t_pp),
+        )
+        for d in params["distances"]
+        for t_pp in params["t_pp_values_ns"]
+    ]
+
+
+def table4_mean_reductions(params, store):
+    """Mean LER reduction of Active / Extra Rounds / Hybrid vs Passive.
+
+    Each reduction is averaged over the T_P' values.
+    """
+    lers = {(pt.config.distance, pt.config.t_pp_ns, pt.policy_name): est[1].rate
+            for pt, est, _ in ler_points(_table4_sweeps(params), store)}
     rows = []
-    for name, kwargs in (
-        ("active", {}),
-        ("extra_rounds", {"max_rounds": 100}),
-        ("hybrid", {"eps_ns": 400.0, "max_rounds": 100}),
-    ):
-        pts = sweep_policies(
-            (name,), (distance,), (1000.0,), shots,
-            hardware=hw, t_pp_ns=1325.0, policy_kwargs={name: kwargs}, rng=rng,
-        )
-        p = pts[0]
-        rows.append(
-            {
-                "policy": name,
-                "idle_ns": p.plan["idle_ns"],
-                "extra_rounds": p.plan["extra_rounds_p"],
-                "ler": p.estimates[1].rate,
-            }
-        )
+    for d in params["distances"]:
+        reductions: dict[str, list[float]] = {"active": [], "extra_rounds": [], "hybrid": []}
+        for t_pp in params["t_pp_values_ns"]:
+            passive = lers[(d, float(t_pp), "passive")]
+            for name, values in reductions.items():
+                ler = lers.get((d, float(t_pp), name), 0.0)
+                if ler > 0:
+                    values.append(passive / ler)
+        rows.append({
+            "distance": d,
+            **{name: float(np.mean(v)) if v else None for name, v in reductions.items()},
+        })
     return rows
+
+
+register(FigureSpec(
+    name="table4",
+    category="ler-sweep",
+    anchor="Table 4",
+    title="Mean LER reduction of Active / Extra Rounds / Hybrid vs Passive",
+    builder=table4_mean_reductions,
+    params={"distances": (5,), "tau_ns": 1000.0, "shots": 12_000,
+            "t_pp_values_ns": (1050.0, 1150.0), "eps_ns": 400.0, "seed": 2025},
+    columns=("distance", "active", "extra_rounds", "hybrid"),
+    sweeps=_table4_sweeps,
+    vega={"mark": "bar", "x": "distance", "y": "hybrid"},
+))

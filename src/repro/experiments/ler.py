@@ -84,8 +84,7 @@ BATCH_STAT_KEYS = (
     "pipeline_analyses",
 )
 
-#: process-wide decode-engine defaults, overridable per call; the CLI's
-#: ``--decode-workers``/``--no-dedup``/``--decode-backend`` flags and the
+#: process-wide decode-engine defaults, overridable per call; the
 #: ``REPRO_DECODE_*`` environment knobs land here
 DECODE_DEFAULTS: dict = {
     "dedup": bool(env_int("REPRO_DECODE_DEDUP", 1)),
@@ -466,9 +465,12 @@ def run_surgery_ler(
     stats = engine.stats
     from ..decoders import kernels
 
+    # the backend that actually ran, not the requested name ("auto", or one
+    # that degraded along its fallback chain)
+    resolved = kernels.resolve(backend)
     decode_stats = {
-        "backend": backend,
-        "backend_capabilities": sorted(kernels.capabilities(backend)),
+        "backend": resolved.name,
+        "backend_capabilities": sorted(resolved.capabilities),
         "batches": stats.batches,
         "distinct_syndromes": stats.distinct_syndromes,
         "decode_calls": stats.decode_calls,

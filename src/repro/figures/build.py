@@ -5,7 +5,7 @@ figures`` CLI and the ``benchmarks/`` harness: resolve a spec, resolve its
 params, and either serve the finished rows from the store's figure cache
 (zero decoding, zero building) or run the builder — pre-warming the store
 with the spec's declared ``SweepSpec``s first, so the builder's own
-``sweep_policies`` read-through finds every point already decoded.
+read-through of the same points finds every one already decoded.
 
 Two cache layers cooperate:
 
@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..store import STORE_SALT, ResultStore, default_store, set_default_store
+from ..store import STORE_SALT, ResultStore, default_store
 from . import export
 from .registry import FigureSpec, get
 
@@ -89,10 +89,12 @@ def build_figure(
     ``store=None`` uses the active default store (``set_default_store`` /
     ``REPRO_STORE_ROOT``); ``store=False`` forces a storeless build — no
     cache reads or writes, always decode, the shared-sequential-stream
-    numbers the pytest benchmark harness asserts on.  ``strict``
-    controls whether unknown override keys raise (single-figure builds) or
-    are dropped (bulk ``--all`` overrides).  ``workers``/``speculate`` are
-    forwarded to ``run_sweep`` when pre-warming declared sweeps.
+    numbers the pytest benchmark harness asserts on.  The builder receives
+    the store (``None`` for storeless builds) as its second argument.
+    ``strict`` controls whether unknown override keys raise (single-figure
+    builds) or are dropped (bulk ``--all`` overrides).  ``workers`` /
+    ``speculate`` are forwarded to ``run_sweep`` when pre-warming declared
+    sweeps.
     """
     spec = get(name)
     params = spec.resolve_params(overrides, strict=strict)
@@ -140,9 +142,4 @@ def _build_rows(
                 speculate=speculate,
                 ledger=False,
             )
-    previous = default_store()
-    set_default_store(store)
-    try:
-        return list(spec.builder(dict(params)))
-    finally:
-        set_default_store(previous)
+    return list(spec.builder(dict(params), store))

@@ -10,9 +10,9 @@ the lint-rule registry.  A spec bundles:
   anchor it reproduces and a one-line title;
 * a *parameter schema* — the complete default parameter dict; callers may
   only override keys that exist in it;
-* a *builder* — a pure function ``params -> list[row dict]`` that produces
-  the figure's data rows (delegating the heavy lifting to
-  :mod:`repro.experiments.figures`);
+* a *builder* — a function ``(params, store) -> list[row dict]`` that
+  computes the figure's data rows (``store`` is ``None`` for storeless
+  builds);
 * optionally the figure's *data needs* as declarative ``SweepSpec``s
   (:meth:`FigureSpec.sweep_specs`), so a result store can be pre-warmed by
   ``run_sweep`` and the builder then decodes nothing.
@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 #: Canonical name -> registered spec.  Populated by :func:`register` calls
-#: in :mod:`repro.figures.builders`; iteration order is registration order
-#: (paper order).
+#: in :mod:`repro.experiments.figures`; iteration order is registration
+#: order (paper order).
 FIGURE_BUILDERS: dict[str, "FigureSpec"] = {}
 
 #: Legacy / convenience spelling -> canonical registry name.  Keys cover the
@@ -75,15 +75,17 @@ class FigureSpec:
     anchor: str
     #: One-line human description (shown by ``repro figures list``).
     title: str
-    #: Pure transform ``params -> list[dict]``; each dict is one data row.
-    builder: Callable[[dict], list[dict]]
+    #: ``(params, store) -> list[dict]``; each dict is one data row.  The
+    #: store is ``None`` for storeless builds.
+    builder: Callable[[dict, Any], list[dict]]
     #: Complete default parameter dict — doubles as the override schema.
     params: Mapping[str, Any] = field(default_factory=dict)
     #: Column order for tabular exports; columns missing from a row are
     #: emitted blank (multi-part figures use a ``kind`` column).
     columns: tuple[str, ...] = ()
     #: Optional ``params -> list[SweepSpec]`` declaring the LER sweeps the
-    #: builder reads; used to pre-warm the store before the builder runs.
+    #: builder reads — the one description of its grid; used to pre-warm
+    #: the store before the builder runs.
     sweeps: Callable[[dict], list] | None = None
     #: Vega-Lite encoding hints (``mark``/``x``/``y``/``color``/``detail``).
     vega: Mapping[str, str] = field(default_factory=dict)
@@ -118,7 +120,7 @@ class FigureSpec:
             return []
         return list(self.sweeps(dict(params)))
 
-    def with_builder(self, builder: Callable[[dict], list[dict]]) -> "FigureSpec":
+    def with_builder(self, builder: Callable[[dict, Any], list[dict]]) -> "FigureSpec":
         """Copy of this spec with ``builder`` swapped (test seam)."""
         return replace(self, builder=builder, sweeps=None)
 

@@ -316,16 +316,16 @@ def test_mutation_undocumented_env_knob_fails(tmp_path):
 
 def test_mutation_spec_without_benchmark_wrapper_fails(tmp_path):
     box = make_sandbox(tmp_path)
-    builders = box / "src" / "repro" / "figures" / "builders.py"
-    builders.write_text(
-        builders.read_text()
+    figures = box / "src" / "repro" / "experiments" / "figures.py"
+    figures.write_text(
+        figures.read_text()
         + "\nregister(FigureSpec(name=\"fig999\", category=\"analytic\","
-        "\n    anchor=\"Fig. 999\", title=\"probe\", builder=_fig10,"
-        "\n    params={}, columns=(\"x\",)))\n"
+        "\n    anchor=\"Fig. 999\", title=\"probe\","
+        "\n    builder=fig10_extra_rounds_configs, params={}, columns=(\"x\",)))\n"
     )
     report = run_lint(root=box, only=["contract-figure-registry"])
     assert any(
-        f.path == "src/repro/figures/builders.py" and "fig999" in f.message
+        f.path == "src/repro/experiments/figures.py" and "fig999" in f.message
         for f in report.findings
     )
 

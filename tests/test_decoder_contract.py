@@ -20,7 +20,7 @@ Everything is seeded: a failure reproduces from the printed parameters.
 import numpy as np
 import pytest
 
-from conftest import build_dem_graph, build_dense_syndromes
+from factories import build_dem_graph, build_dense_syndromes
 from repro.decoders import (
     BatchDecodingEngine,
     LookupTableDecoder,

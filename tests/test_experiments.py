@@ -56,6 +56,16 @@ def test_run_surgery_ler_returns_three_observables():
     assert res.plan_summary["idle_ns"] == 1000.0
 
 
+def test_decode_stats_name_the_resolved_backend():
+    from repro.decoders import kernels
+
+    res = run_surgery_ler(_config(), make_policy("passive"), 200, rng=0, backend="auto")
+    assert res.decode_stats["backend"] == kernels.resolve("auto").name
+    assert res.decode_stats["backend_capabilities"] == sorted(
+        kernels.capabilities("auto")
+    )
+
+
 def test_pipeline_cache_reused():
     cfg = _config("active")
     pol = make_policy("active")

@@ -54,7 +54,7 @@ TINY = {"distances": (2,), "taus_ns": (500.0,), "shots": 120, "seed": 7}
 FIG10_PAPER = [None, 5, 11, 22, 26, 52, 34, 68]
 
 
-def _boom(params):
+def _boom(params, store):
     raise AssertionError("builder must not run on a store-served rebuild")
 
 
@@ -207,6 +207,17 @@ def test_storeless_build_ignores_default_store(tmp_path, monkeypatch):
     result = build_figure("fig10", store=False)
     assert result.served_from_store is False
     assert not (tmp_path / "env-store").exists()
+
+
+def test_storeless_sweep_build_ignores_env_store(tmp_path, monkeypatch):
+    # a sweep-backed builder given no store decodes the shared sequential
+    # stream, never the per-point streams of a REPRO_STORE_ROOT store
+    params = {"distances": [2], "shots": 300, "seed": 7}
+    expected = build_figure("fig15", params, store=False).rows
+    env_root = tmp_path / "env-store"
+    monkeypatch.setenv("REPRO_STORE_ROOT", str(env_root))
+    assert build_figure("fig15", params, store=False).rows == expected
+    assert len(ResultStore(env_root)) == 0
 
 
 # ------------------------------------------------------------------- CLI

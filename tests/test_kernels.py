@@ -8,16 +8,14 @@ matrix also asserts the predecoder's offload statistics
 (:class:`PredecodeStats`) match the scalar pass bit for bit.  The batched
 union-find kernel is additionally fuzzed on random syndrome matrices (where
 cluster growth and peeling interact far more than at physical error rates)
-and exercised across block boundaries; backend *degradation* (missing soft
-dependencies) is tested by monkeypatching the imports away.
+and exercised across block boundaries; backend *degradation* (a backend
+whose dependency is missing) is tested by monkeypatching availability away.
 """
-
-import builtins
 
 import numpy as np
 import pytest
 
-from conftest import build_dense_syndromes
+from factories import build_dense_syndromes
 from repro.codes.repetition import repetition_experiment
 from repro.decoders import (
     BatchDecodingEngine,
@@ -37,7 +35,6 @@ from repro.decoders.kernels import (
     BatchedPredecode,
     BatchedUnionFind,
     KernelBackend,
-    NumbaBackend,
     NumpyBackend,
     PythonBackend,
 )
@@ -51,7 +48,7 @@ from repro.stab import DemSampler, circuit_to_dem
 
 
 def test_builtin_backends_registered():
-    assert {"python", "numpy", "numba"} <= set(kernels.names())
+    assert {"python", "numpy"} <= set(kernels.names())
     assert "python" in kernels.available()
     assert "numpy" in kernels.available()  # numpy is a hard dependency
 
@@ -84,10 +81,11 @@ def test_capability_flags():
         "hierarchical",
         "mwpm",
     }
-    # resolution first: the flags reported for numba are those of the
-    # backend actually used (numba itself when importable, else numpy) —
-    # identical sets either way
-    assert kernels.capabilities("numba") == kernels.capabilities("numpy")
+    # resolution first: the flags reported for auto are those of the
+    # backend actually used
+    assert kernels.capabilities("auto") == kernels.capabilities(
+        kernels.resolve("auto").name
+    )
 
 
 def test_register_custom_backend_and_replace_guard():
@@ -167,51 +165,15 @@ def test_numpy_backend_skips_overridden_decode_paths(parity_grid):
     assert kernel.inner is None
 
 
-def test_numba_backend_jit_flag_degrades(parity_grid):
-    graph, _ = parity_grid[(3, 2e-3)]
-    kernel = NumbaBackend().bind(UnionFindDecoder(graph))
-    assert isinstance(kernel, BatchedUnionFind)
-    try:
-        import numba  # noqa: F401
-
-        assert kernel.jitted  # pragma: no cover - numba present
-    except ImportError:
-        assert not kernel.jitted  # silently fell back to the numpy chase
-
-
 # ---------------------------------------------------------------------------
 # backend degradation: missing soft dependencies
 # ---------------------------------------------------------------------------
 
 
-def test_missing_numba_reports_honestly_and_degrades(monkeypatch):
-    real_import = builtins.__import__
-
-    def no_numba(name, *args, **kwargs):
-        if name == "numba":
-            raise ImportError("numba is not installed")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numba)
-    assert not kernels.get("numba").available()
-    assert "numba" not in kernels.available()
-    assert kernels.resolve("numba").name == "numpy"
-    assert kernels.resolve("auto").name == "numpy"
-
-
-def test_fallback_chain_walks_numba_numpy_python(monkeypatch):
-    real_import = builtins.__import__
-
-    def no_numba(name, *args, **kwargs):
-        if name == "numba":
-            raise ImportError("numba is not installed")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numba)
+def test_fallback_chain_walks_numpy_python(monkeypatch):
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     assert kernels.available() == ["python"]
-    # the two-hop chain: numba -> numpy -> python
-    assert kernels.resolve("numba").name == "python"
+    # the numpy -> python hop, reported honestly
     assert kernels.resolve("numpy").name == "python"
     assert kernels.resolve("auto").name == "python"
     assert kernels.capabilities("numpy") == frozenset()
@@ -221,28 +183,28 @@ def test_degradation_warns_once_per_process_naming_the_fallback(monkeypatch):
     """CI logs must show which backend actually ran the parity matrix."""
     import warnings
 
-    real_import = builtins.__import__
+    class _Missing(KernelBackend):
+        name = "test-missing"
+        fallback = "numpy"
 
-    def no_numba(name, *args, **kwargs):
-        if name == "numba":
-            raise ImportError("numba is not installed")
-        return real_import(name, *args, **kwargs)
+        def available(self):
+            return False
 
-    monkeypatch.setattr(builtins, "__import__", no_numba)
+    monkeypatch.setitem(kernels._REGISTRY, "test-missing", _Missing())
     monkeypatch.setattr(kernels, "_FALLBACK_WARNED", set())
-    with pytest.warns(RuntimeWarning, match="'numba'.*falling back to 'numpy'"):
-        assert kernels.resolve("numba").name == "numpy"
+    with pytest.warns(RuntimeWarning, match="'test-missing'.*falling back to 'numpy'"):
+        assert kernels.resolve("test-missing").name == "numpy"
     # second resolution of the same degradation is quiet (once per process)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernels.resolve("numba").name == "numpy"
+        assert kernels.resolve("test-missing").name == "numpy"
         # available backends and `auto` never warn
         assert kernels.resolve("auto").name == "numpy"
         assert kernels.resolve("numpy").name == "numpy"
     # a *different* degradation pair warns again
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
-    with pytest.warns(RuntimeWarning, match="falling back to 'python'"):
-        assert kernels.resolve("numba").name == "python"
+    with pytest.warns(RuntimeWarning, match="'numpy'.*falling back to 'python'"):
+        assert kernels.resolve("numpy").name == "python"
 
 
 def test_degraded_backend_still_decodes_identically(parity_grid, monkeypatch):
@@ -252,7 +214,7 @@ def test_degraded_backend_still_decodes_identically(parity_grid, monkeypatch):
     ).decode_batch(det)
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     degraded = BatchDecodingEngine(
-        UnionFindDecoder(graph), backend="numba"
+        UnionFindDecoder(graph), backend="numpy"
     ).decode_batch(det)
     assert np.array_equal(degraded, reference)
 

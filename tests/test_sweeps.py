@@ -226,41 +226,41 @@ def test_ensure_point_fixed_shot_mode(tmp_path):
     assert len(store) == 1
 
 
-def test_sweep_policies_reads_through_store(tmp_path):
-    store = ResultStore(tmp_path)
-    kwargs = dict(
-        policies=("passive",),
-        distances=(2,),
-        taus_ns=(500.0,),
-        shots=1000,
-        hardware=GOOGLE,
-        rng=13,
+def _figure_sweep(shots, seed):
+    return SweepSpec(
+        name="figure", distances=(2,), taus_ns=(500.0,),
+        policies=(PolicySpec("passive"),), hardware=GOOGLE, seed=seed,
+        batch_shots=shots, min_shots=shots, max_shots=shots,
     )
-    first = figures.sweep_policies(store=store, **kwargs)
+
+
+def test_ler_points_reads_through_store(tmp_path):
+    store = ResultStore(tmp_path)
+    sweeps = [_figure_sweep(1000, 13)]
+    first = figures.ler_points(sweeps, store)
     assert len(store) == 1
     analyses = ler_module.PIPELINE_ANALYSES
-    second = figures.sweep_policies(store=store, **kwargs)
+    second = figures.ler_points(sweeps, store)
     # second pass decoded nothing new: same numbers, no new analysis beyond
     # the cached pipeline, and the single stored record was reused
-    assert [e.successes for e in second[0].estimates] == [
-        e.successes for e in first[0].estimates
-    ]
+    assert [e.successes for e in second[0][1]] == [e.successes for e in first[0][1]]
     assert len(store) == 1
     assert ler_module.PIPELINE_ANALYSES == analyses
-    assert first[0].plan  # plan summary survives the store round-trip
+    assert first[0][2]  # plan summary survives the store round-trip
 
 
-def test_sweep_policies_without_store_unchanged(tmp_path):
-    # a Generator rng (or no active store) keeps the legacy sequential path
-    a = figures.sweep_policies(
-        ("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=np.random.default_rng(3)
-    )
+def test_ler_points_without_store_unchanged(tmp_path):
+    # without a store the points decode one sequential stream, whatever
+    # default store is active
+    sweeps = [_figure_sweep(800, 3)]
+    a = figures.ler_points(sweeps, None)
     set_default_store(ResultStore(tmp_path))
-    b = figures.sweep_policies(
-        ("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=np.random.default_rng(3)
-    )
-    set_default_store(None)
-    assert [e.successes for e in a[0].estimates] == [e.successes for e in b[0].estimates]
+    try:
+        b = figures.ler_points(sweeps, None)
+    finally:
+        set_default_store(None)
+    assert [e.successes for e in a[0][1]] == [e.successes for e in b[0][1]]
+    assert len(ResultStore(tmp_path)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +528,8 @@ def test_sweep_under_missing_backend_produces_identical_records(
 ):
     """Backend degradation must not leak into stored results.
 
-    With the numpy backend monkeypatched away, naming ``numba`` resolves
-    all the way down the fallback chain to ``python`` — and the sweep's
+    With the numpy backend monkeypatched away, naming ``numpy`` resolves
+    down the fallback chain to ``python`` — and the sweep's
     stored records must be key-identical and content-identical to a
     reference sweep pinned to ``python``.
     """
@@ -542,7 +542,7 @@ def test_sweep_under_missing_backend_produces_identical_records(
     reset_warm_state()
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     degraded = run_sweep(
-        dataclasses.replace(base, backend="numba"), ResultStore(tmp_path / "deg")
+        dataclasses.replace(base, backend="numpy"), ResultStore(tmp_path / "deg")
     )
     for a, b in zip(reference.outcomes, degraded.outcomes):
         assert a.key == b.key  # backend never reaches the point key
