@@ -5,7 +5,9 @@
 # count/depth), the decode-kernel backend parity matrix (tests/test_kernels.py
 # — every backend must stay bit-identical to the python reference pass), the
 # cross-decoder contract suite (tests/test_decoder_contract.py — defect-
-# parity preservation, dedup/backend metamorphic identities), and the
+# parity preservation, dedup/backend metamorphic identities), the DEM
+# oracle suite (tests/test_dem.py — the backward DEM extractor must equal
+# the forward-propagation oracle in tests/dem_oracle.py exactly), and the
 # benchmarks, minus everything tagged @pytest.mark.slow.  Intended to
 # finish in a few minutes on a laptop; CI runs exactly this script on every
 # push/PR (.github/workflows/ci.yml; policy in docs/CI.md).  --durations=10 keeps the slowest tests visible in CI

@@ -197,35 +197,21 @@ class _Pipeline:
         # delta (decode_stats["pipeline_analyses"]), never as shared truth
         global PIPELINE_ANALYSES  # lint: ok[contract-worker-globals]
         PIPELINE_ANALYSES += 1
-        noise = NoiseModel(hardware=config.hardware, p=config.p)
-        scenario = SyncScenario(
-            t_p_ns=config.hardware.cycle_time_ns,
-            t_pp_ns=(
-                config.t_pp_ns if config.t_pp_ns is not None else config.hardware.cycle_time_ns
-            ),
-            tau_ns=config.tau_ns,
-            base_rounds=config.resolved_base_rounds(),
-        )
-        self.plan = policy.plan(scenario)
-        spec = SurgerySpec(
-            distance=config.distance,
-            noise=noise,
-            ls_basis=config.ls_basis,
-            rounds_pre=None,  # timelines encode the per-patch round counts
-            timeline_p=self.plan.timeline_p,
-            timeline_pp=self.plan.timeline_pp,
-            include_seam_detector=config.include_seam_detector,
-        )
-        self.artifacts = surgery_experiment(spec)
+        with obs.span("pipeline.circuit"):
+            self.plan, self.artifacts = _synthesize(config, policy)
         self._summary = None
-        self._init_decode(circuit_to_dem(self.artifacts.circuit), self.artifacts.detector_basis)
+        with obs.span("pipeline.dem"):
+            dem = circuit_to_dem(self.artifacts.circuit)
+        self._init_decode(dem, self.artifacts.detector_basis)
 
     @classmethod
     def from_payload(cls, payload: "PipelinePayload") -> "_Pipeline":
         """Rebuild a decode-ready pipeline from a serialized handoff.
 
-        Skips circuit synthesis and DEM extraction entirely (the expensive
-        analysis steps); only the matching graph and sampler are rebuilt.
+        Skips circuit synthesis and DEM extraction entirely (the analysis
+        steps); only the matching graph and sampler are rebuilt — or shared,
+        when this process's pipeline LRU holds the very DEM the payload
+        carries (the inline sweep handoff).
         ``plan``/``artifacts`` are unavailable on this path — decode-side
         consumers use :meth:`plan_summary`, which the payload carries.
         """
@@ -233,17 +219,24 @@ class _Pipeline:
         self.plan = None
         self.artifacts = None
         self._summary = dict(payload.plan_summary)
-        self._init_decode(payload.dem, payload.basis)
+        analyzed = _PIPELINE_CACHE.get(payload.key)
+        if analyzed is not None and analyzed.dem is not payload.dem:
+            analyzed = None  # an unpickled payload: same key, its own DEM
+        self._init_decode(payload.dem, payload.basis, analyzed)
         self.payload_backend = payload.backend
         return self
 
-    def _init_decode(self, dem, basis: str) -> None:
+    def _init_decode(self, dem, basis: str, analyzed: "_Pipeline | None" = None) -> None:
         self.dem = dem
         self.basis = basis
         #: decode-kernel backend carried by a warm handoff (None otherwise)
         self.payload_backend = None
-        self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)
-        self.sampler = DemSampler(dem)
+        if analyzed is not None:
+            self.graph, self.sampler = analyzed.graph, analyzed.sampler
+        else:
+            with obs.span("pipeline.graph"):
+                self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)
+                self.sampler = DemSampler(dem)
         self._detector_mask = np.array(
             [b == basis for b in dem.detector_basis], dtype=bool
         )
@@ -292,6 +285,33 @@ class _Pipeline:
                 "rounds_pp": self.plan.timeline_pp.num_rounds,
             }
         return dict(self._summary)
+
+
+def _synthesize(config: SurgeryLerConfig, policy: _BasePolicy):
+    """Plan ``config`` under ``policy`` and build its lattice-surgery circuit.
+
+    The first stage of :class:`_Pipeline`; returns ``(plan, artifacts)``.
+    """
+    noise = NoiseModel(hardware=config.hardware, p=config.p)
+    scenario = SyncScenario(
+        t_p_ns=config.hardware.cycle_time_ns,
+        t_pp_ns=(
+            config.t_pp_ns if config.t_pp_ns is not None else config.hardware.cycle_time_ns
+        ),
+        tau_ns=config.tau_ns,
+        base_rounds=config.resolved_base_rounds(),
+    )
+    plan = policy.plan(scenario)
+    spec = SurgerySpec(
+        distance=config.distance,
+        noise=noise,
+        ls_basis=config.ls_basis,
+        rounds_pre=None,  # timelines encode the per-patch round counts
+        timeline_p=plan.timeline_p,
+        timeline_pp=plan.timeline_pp,
+        include_seam_detector=config.include_seam_detector,
+    )
+    return plan, surgery_experiment(spec)
 
 
 def _policy_cache_key(policy: _BasePolicy) -> tuple:

@@ -1,9 +1,20 @@
-"""Detector-error-model extraction tests."""
+"""Detector-error-model extraction tests.
+
+The backward extractor is held to exact equality with the forward
+propagation oracle in ``dem_oracle.py`` (same errors, same order, the same
+probabilities bit for bit) on random Clifford circuits and on the
+lattice-surgery circuits of every policy.
+"""
 
 import numpy as np
 import pytest
 
+from dem_oracle import circuit_to_dem as oracle_dem
 from repro._util import combine_flip_probabilities
+from repro.core.policies import POLICIES, make_policy
+from repro.experiments import ler as ler_module
+from repro.experiments.ler import SurgeryLerConfig
+from repro.noise import GOOGLE
 from repro.stab import Circuit, DemSampler, FrameSimulator, circuit_to_dem
 
 
@@ -69,12 +80,107 @@ def test_invisible_errors_dropped():
     assert len(dem.errors) == 0
 
 
-def test_chunked_extraction_matches_unchunked():
-    circuit = _rep_code_circuit(rounds=3)
-    full = circuit_to_dem(circuit, chunk_size=1_000_000)
-    tiny = circuit_to_dem(circuit, chunk_size=3)
-    key = lambda d: sorted((e.detectors, e.observables, round(e.probability, 12)) for e in d.errors)
-    assert key(full) == key(tiny)
+def _random_clifford_circuit(seed, n=6, layers=40):
+    """Seeded random noisy Clifford circuit over every gate kind and channel.
+
+    Detectors and observables are random record parities: the DEM extractor
+    does not require them to be deterministic, so this exercises the full
+    propagation rules rather than only the surface-code ones.
+    """
+    rng = np.random.default_rng(seed)
+    c = Circuit()
+    c.append("R", list(range(n)))
+    one_qubit = ["H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG", "X", "R", "RX"]
+    noise_1 = [
+        ("X_ERROR", [0.01]),
+        ("X_ERROR", [0.0]),
+        ("Y_ERROR", [0.02]),
+        ("Z_ERROR", [0.03]),
+        ("DEPOLARIZE1", [0.015]),
+        ("PAULI_CHANNEL_1", [0.01, 0.0, 0.02]),
+        ("PAULI_CHANNEL_1", [0.0, 0.005, 0.0]),
+    ]
+    records = []
+    for _ in range(layers):
+        qubits = rng.permutation(n).tolist()
+        roll = rng.integers(6)
+        if roll == 0:
+            c.append(one_qubit[rng.integers(len(one_qubit))], qubits[: rng.integers(1, n)])
+        elif roll == 1:
+            gate = ["CX", "CZ", "SWAP"][rng.integers(3)]
+            c.append(gate, qubits[:4])
+        elif roll == 2:
+            name, args = noise_1[rng.integers(len(noise_1))]
+            c.append(name, qubits[: rng.integers(1, n)], args)
+        elif roll == 3:
+            c.append("DEPOLARIZE2", qubits[:4], [0.02])
+        elif roll == 4:
+            gate = ["M", "MX", "MR"][rng.integers(3)]
+            records += c.append(gate, qubits[: rng.integers(1, 3)])
+        else:
+            # sequential CX pairs sharing qubits: split into ordered groups
+            a, b, d = qubits[:3]
+            c.append("CX", [a, b, b, d, d, a])
+    records += c.append("M", [0, 0])  # one qubit read twice in one layer
+    records += c.append("MX", list(range(1, n)))
+    for _ in range(12):
+        picks = rng.choice(records, size=rng.integers(1, 4), replace=False)
+        c.detector(sorted(int(r) for r in picks), basis="ZX"[rng.integers(2)])
+    for k in range(2):
+        c.observable_include(k, [int(r) for r in rng.choice(records, size=3, replace=False)])
+    return c
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_backward_extraction_matches_forward_oracle_on_random_circuits(seed):
+    circuit = _random_clifford_circuit(seed)
+    dem = circuit_to_dem(circuit)
+    # exact: same order, same tuples, probabilities equal with ==
+    assert dem.errors == oracle_dem(circuit).errors
+    assert dem.errors  # the circuits do have visible errors
+
+
+def test_random_circuits_cover_every_gate_kind_and_channel():
+    names = set()
+    for seed in range(12):
+        names |= {inst.name for inst in _random_clifford_circuit(seed).instructions}
+    assert names >= {
+        "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG", "CX", "CZ", "SWAP", "R", "RX",
+        "M", "MX", "MR", "X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1",
+        "PAULI_CHANNEL_1", "DEPOLARIZE2",
+    }
+
+
+def _surgery_circuit(distance, policy, **overrides):
+    cfg = SurgeryLerConfig(
+        distance=distance,
+        hardware=GOOGLE,
+        policy_name=policy,
+        tau_ns=700.0,
+        t_pp_ns=1150.0 if policy in ("extra_rounds", "hybrid") else None,
+        **overrides,
+    )
+    return ler_module._synthesize(cfg, make_policy(policy))[1].circuit
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_backward_extraction_matches_forward_oracle_on_surgery_d3(policy):
+    circuit = _surgery_circuit(3, policy)
+    assert circuit_to_dem(circuit).errors == oracle_dem(circuit).errors
+
+
+def test_backward_extraction_matches_forward_oracle_on_surgery_d5():
+    circuit = _surgery_circuit(5, "active", ls_basis="X")
+    assert circuit_to_dem(circuit).errors == oracle_dem(circuit).errors
+
+
+def test_noise_without_detectors_or_observables_gives_empty_dem():
+    c = Circuit()
+    c.append("R", [0, 1])
+    c.append("DEPOLARIZE2", [0, 1], [0.1])
+    c.append("M", [0, 1])
+    dem = circuit_to_dem(c)
+    assert dem.errors == oracle_dem(c).errors == []
 
 
 def test_min_probability_filter():

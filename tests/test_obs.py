@@ -122,7 +122,7 @@ def test_disabled_span_is_shared_noop_and_args_never_evaluated():
     assert not obs.enabled()
     s1 = obs.span("decode.kernel", lambda: pytest.fail("args evaluated while off"))
     s2 = obs.span("ler.sample")
-    assert s1 is s2  # one shared singleton, no per-span allocation
+    assert s1 is s2 is obs.span("pipeline.dem")  # one shared singleton, no per-span allocation
     with s1:
         pass
     obs.count("sweep.batches_dispatched")  # all no-ops
@@ -132,6 +132,28 @@ def test_disabled_span_is_shared_noop_and_args_never_evaluated():
             pass
     assert spans.events == []
     assert obs.active() is None
+
+
+def test_traced_pipeline_build_emits_each_stage_span_once():
+    from repro.core import make_policy
+    from repro.experiments import ler
+
+    ler.clear_pipeline_cache()
+    obs.configure()
+    try:
+        cfg = ler.SurgeryLerConfig(
+            distance=2, hardware=GOOGLE, policy_name="passive", tau_ns=500.0
+        )
+        ler.prepared_pipeline(cfg, make_policy("passive"))
+        names = [ev["name"] for ev in obs.active().events]
+    finally:
+        ler.clear_pipeline_cache()
+    for stage in ("pipeline.circuit", "pipeline.dem", "pipeline.graph"):
+        assert names.count(stage) == 1, stage
+    # the stages run in pipeline order
+    assert names.index("pipeline.circuit") < names.index("pipeline.dem") < names.index(
+        "pipeline.graph"
+    )
 
 
 def test_lazy_args_evaluated_exactly_once_when_enabled():
@@ -352,6 +374,7 @@ def test_result_obs_spans_never_reach_stored_records(tmp_path):
     from repro.experiments.ler import BATCH_STAT_KEYS
 
     assert "obs_spans" not in BATCH_STAT_KEYS
+    assert not any(key.startswith("pipeline.") for key in BATCH_STAT_KEYS)
     spec = _spec()
     obs.configure()
     try:
@@ -360,3 +383,4 @@ def test_result_obs_spans_never_reach_stored_records(tmp_path):
         obs.reset()
     for record in _records(report).values():
         assert "obs_spans" not in json.dumps(record)
+        assert "pipeline." not in json.dumps(record)

@@ -3,6 +3,7 @@ workers, store read-through for figure sweeps, and cross-point cache stats."""
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.experiments.sweeps import (
     SweepSpec,
     ensure_point,
     point_record_estimates,
+    record_parity_view,
     run_sweep,
 )
 from repro.noise import GOOGLE
@@ -297,6 +299,58 @@ def test_payload_pipeline_matches_analyzed_pipeline():
     a = rebuilt.decoder("unionfind").decode_batch(masked)
     b = direct.decoder("unionfind").decode_batch(masked)
     assert np.array_equal(a, b)
+
+
+def _count_graph_builds(monkeypatch):
+    calls = []
+    real = ler_module.build_matching_graph
+    monkeypatch.setattr(
+        ler_module, "build_matching_graph", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    return calls
+
+
+class _NoReuseCache(dict):
+    """A pipeline LRU whose lookups always miss: payloads rebuild their graph."""
+
+    def get(self, key, default=None):
+        return default
+
+    def move_to_end(self, key):
+        pass
+
+
+@pytest.mark.parametrize("speculate", (0, 2))
+def test_inline_sweep_point_builds_one_matching_graph(tmp_path, monkeypatch, speculate):
+    spec = _spec()
+    ler_module.clear_pipeline_cache()
+    calls = _count_graph_builds(monkeypatch)
+    shared = run_sweep(spec, ResultStore(tmp_path / "shared"), workers=1, speculate=speculate)
+    # the payload handoff shares the analyzed pipeline's graph and sampler
+    assert len(calls) == 1
+    ler_module.clear_pipeline_cache()
+    reset_warm_state()
+    calls.clear()
+    monkeypatch.setattr(ler_module, "_PIPELINE_CACHE", _NoReuseCache())
+    rebuilt = run_sweep(spec, ResultStore(tmp_path / "rebuilt"), workers=1, speculate=speculate)
+    assert len(calls) == 2
+    # stored records serialize to the same bytes (minus timings/timestamps)
+    for a, b in zip(shared.outcomes, rebuilt.outcomes):
+        assert json.dumps(record_parity_view(a.record), sort_keys=True) == json.dumps(
+            record_parity_view(b.record), sort_keys=True
+        )
+
+
+def test_unpickled_payload_rebuilds_its_own_graph():
+    cfg = _config()
+    pol = make_policy("passive")
+    payload = pipeline_payload(cfg, pol)
+    direct = ler_module.prepared_pipeline(cfg, pol)
+    shared = ler_module._Pipeline.from_payload(payload)
+    assert shared.graph is direct.graph and shared.sampler is direct.sampler
+    copied = ler_module._Pipeline.from_payload(pickle.loads(pickle.dumps(payload)))
+    assert copied.graph is not direct.graph and copied.sampler is not direct.sampler
+    assert copied.payload_backend == shared.payload_backend == payload.backend
 
 
 # ---------------------------------------------------------------------------
